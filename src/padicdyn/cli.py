@@ -38,7 +38,6 @@ MIN_WORKING_PRECISION = 8
 
 @dataclass(frozen=True)
 class RunConfig:
-    prime: int | None
     precision: int
     seed: int
     json_out: bool
@@ -58,8 +57,7 @@ def build_config(ns, floor: int = MIN_WORKING_PRECISION) -> RunConfig:
     prec = ns.prec if ns.prec is not None else _env_precision()
     if prec < floor:
         raise InputError("precision must be at least %d, got %d" % (floor, prec))
-    return RunConfig(getattr(ns, "p", None), prec,
-                     getattr(ns, "seed", DEFAULT_SEED),
+    return RunConfig(prec, getattr(ns, "seed", DEFAULT_SEED),
                      bool(getattr(ns, "json", False)))
 
 

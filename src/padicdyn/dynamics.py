@@ -54,6 +54,7 @@ class IsometryCheck:
     passed: bool
     witness: dict | None
     trials: int
+    images: tuple = ()  # (x, f(x)) of each evaluated trial, in sampling order
 
 
 @dataclass(frozen=True)
@@ -147,10 +148,18 @@ def _coverage(s: Sphere, depth: int, cap: int = 64) -> list:
     return pts
 
 
-def _sample_point(s: Sphere, pool: list, t: int, g: SphereGroup, rng: Random, depth: int) -> PAdic:
-    if t < len(pool):
-        return pool[t]
-    return g.sample(rng, depth)
+def _survey(s: Sphere, trials: int, seed: int, depth: int):
+    """The sampled (x, y) pairs: x runs through the coverage pool, then
+    Haar samples; y is a Haar sample.  Both draw from one Random(seed).
+    """
+    if trials < 1:
+        raise InputError("trials must be at least 1, got %d" % trials)
+    g = SphereGroup(s.p, s.e, s.center)
+    rng = Random(seed)
+    pool = _coverage(s, depth)
+    for t in range(trials):
+        x = pool[t] if t < len(pool) else g.sample(rng, depth)
+        yield x, g.sample(rng, depth)
 
 
 def verify_isometry(s: Sphere, f: RationalMap, trials: int = 200, seed: int = 0,
@@ -162,25 +171,21 @@ def verify_isometry(s: Sphere, f: RationalMap, trials: int = 200, seed: int = 0,
     distortion too small to certify at the working window raises
     PrecisionExhausted.
     """
-    g = SphereGroup(s.p, s.e, s.center)
-    rng = Random(seed)
-    pool = _coverage(s, depth)
-    for t in range(trials):
-        x = _sample_point(s, pool, t, g, rng, depth)
-        y = g.sample(rng, depth)
+    images = []
+
+    def failed(note: str) -> IsometryCheck:
+        return IsometryCheck(False, {"x": _render(x), "y": _render(y), "note": note},
+                             trials, tuple(images))
+
+    for x, y in _survey(s, trials, seed, depth):
         try:
             fx = eval_map(f, x)
             fy = eval_map(f, y)
         except DivisionByZero as err:
-            return IsometryCheck(False, {
-                "x": _render(x), "y": _render(y),
-                "note": "evaluation failed: %s" % err,
-            }, trials)
+            return failed("evaluation failed: %s" % err)
         if not contains(s, fx):
-            return IsometryCheck(False, {
-                "x": _render(x), "y": _render(y),
-                "note": "image %s leaves the sphere" % _render(fx),
-            }, trials)
+            return failed("image %s leaves the sphere" % _render(fx))
+        images.append((x, fx))
         d_in = x - y
         if d_in.is_zero or d_in.is_flagged:
             continue
@@ -190,30 +195,18 @@ def verify_isometry(s: Sphere, f: RationalMap, trials: int = 200, seed: int = 0,
             if bound is not None and bound <= d_in.v:
                 raise PrecisionExhausted(
                     "cannot resolve |f(x)-f(y)| past p^-%d" % bound)
-            return IsometryCheck(False, {
-                "x": _render(x), "y": _render(y),
-                "note": "distance p^%d contracted below window" % (-d_in.v),
-            }, trials)
+            return failed("distance p^%d contracted below window" % (-d_in.v))
         if d_out.v != d_in.v:
-            return IsometryCheck(False, {
-                "x": _render(x), "y": _render(y),
-                "note": "distance p^%d mapped to p^%d" % (-d_in.v, -d_out.v),
-            }, trials)
-    return IsometryCheck(True, None, trials)
+            return failed("distance p^%d mapped to p^%d" % (-d_in.v, -d_out.v))
+    return IsometryCheck(True, None, trials, tuple(images))
 
 
-def compute_rho(s: Sphere, f: RationalMap, trials: int = 200, seed: int = 0,
-                depth: int = DEFAULT_PRECISION) -> RhoResult:
-    """Displacement exponent survey: |f(x) - x| over sampled x."""
-    g = SphereGroup(s.p, s.e, s.center)
-    rng = Random(seed)
-    pool = _coverage(s, depth)
+def _displacements(s: Sphere, images) -> RhoResult:
+    """Displacement survey over (x, f(x)) pairs, read in order."""
     profile = []
     const_exp = None
     first = None
-    for t in range(trials):
-        x = _sample_point(s, pool, t, g, rng, depth)
-        fx = eval_map(f, x)
+    for x, fx in images:
         d = fx - x
         if d.is_zero or (d.is_flagged and d.v >= -s.e + FIXED_POINT_MARGIN):
             return RhoResult("ZeroSomewhere", None, {"x": _render(x)}, tuple(profile))
@@ -231,6 +224,13 @@ def compute_rho(s: Sphere, f: RationalMap, trials: int = 200, seed: int = 0,
                 "note": "displacements p^%d and p^%d" % (const_exp, exp),
             }, tuple(profile))
     return RhoResult("Constant", const_exp, None, tuple(profile))
+
+
+def compute_rho(s: Sphere, f: RationalMap, trials: int = 200, seed: int = 0,
+                depth: int = DEFAULT_PRECISION) -> RhoResult:
+    """Displacement exponent survey: |f(x) - x| over verify_isometry's x stream."""
+    return _displacements(s, ((x, eval_map(f, x))
+                              for x, _ in _survey(s, trials, seed, depth)))
 
 
 def derivative_norm(f: RationalMap, x: PAdic, h_exp: int) -> int:
@@ -256,6 +256,8 @@ def orbit(f: RationalMap, x0: PAdic, n: int) -> OrbitRecord:
     stored point before period/offset are reported; iteration stops at
     the first certified repeat.
     """
+    if n < 0:
+        raise InputError("number of iterates must be at least 0, got %d" % n)
     points = [x0]
     exps: list = []
     period = offset = None
@@ -388,7 +390,7 @@ def _verdict_once(s: Sphere, f: RationalMap, max_level: int, trials: int,
     if not iso.passed:
         return ErgodicityVerdict("NotIsometry", s.p, reason="IsometryFailed",
                                  witness=iso.witness)
-    rho = compute_rho(s, f, trials=trials, seed=seed, depth=depth)
+    rho = _displacements(s, iso.images)
     if rho.kind != "Constant":
         return ErgodicityVerdict("AssumptionViolated", s.p, reason=rho.kind,
                                  witness=rho.witness)

@@ -162,8 +162,8 @@ def cell_count(p: int, k: int) -> int:
     return (p - 1) * p ** (k - 1)
 
 
-def _index_digits(p: int, k: int, j: int) -> tuple[int, ...]:
-    # lex digit string (t_0,...,t_{k-1}) of cell j; t_0 is most significant
+def index_digits(p: int, k: int, j: int) -> tuple[int, ...]:
+    """Digit string (t_0,...,t_{k-1}) of cell j at level k; t_0 is most significant."""
     if not 0 <= j < cell_count(p, k):
         raise InputError(f"cell index {j} out of range at level {k}")
     q, r = divmod(j, p ** (k - 1))
@@ -174,7 +174,8 @@ def _index_digits(p: int, k: int, j: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _digits_index(p: int, t: tuple[int, ...]) -> int:
+def digits_index(p: int, t: tuple[int, ...]) -> int:
+    """Inverse of index_digits."""
     k = len(t)
     j = (t[0] - 1) * p ** (k - 1)
     for i, d in enumerate(t[1:], 1):
@@ -182,19 +183,9 @@ def _digits_index(p: int, t: tuple[int, ...]) -> int:
     return j
 
 
-def index_digits(p: int, k: int, j: int) -> tuple[int, ...]:
-    """Digit string (t_0,...,t_{k-1}) of cell j at level k."""
-    return _index_digits(p, k, j)
-
-
-def digits_index(p: int, t: tuple[int, ...]) -> int:
-    """Inverse of index_digits."""
-    return _digits_index(p, t)
-
-
 def cell_center(s: Sphere, k: int, j: int) -> Fraction:
     """Exact center s.center + p^{-e}(t_0 + t_1 p + ... + t_{k-1}p^{k-1})."""
-    t = _index_digits(s.p, k, j)
+    t = index_digits(s.p, k, j)
     tv = sum(d * s.p ** i for i, d in enumerate(t))
     return s.center + Fraction(s.p) ** (-s.e) * tv
 
@@ -235,7 +226,7 @@ def locate_cell(s: Sphere, k: int, x: PAdic) -> CellIndex:
         raise InsufficientPrecision(
             f"need {k} digits of x - center, have {d.n}"
         )
-    return CellIndex(k, _digits_index(s.p, d.digits[:k]))
+    return CellIndex(k, digits_index(s.p, d.digits[:k]))
 
 
 def subdivide(b: Ball) -> list[Ball]:

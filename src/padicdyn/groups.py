@@ -28,6 +28,13 @@ def _window_end(*values: PAdic) -> int | None:
     return min(ends) if ends else None
 
 
+def _point(g: Group, t, depth: int) -> PAdic:
+    """The carrier point a + p^-e (t_0 + t_1 p + ...), to depth digits."""
+    tv = sum(d * g.p ** i for i, d in enumerate(t))
+    value = g.a + Fraction(g.p) ** (-g.e) * tv
+    return embed(value, g.p, -g.e + depth)
+
+
 @dataclass(frozen=True, slots=True)
 class BallGroup:
     p: int
@@ -68,12 +75,7 @@ class BallGroup:
 
     def sample(self, rng: Random, depth: int = SAMPLE_DEPTH) -> PAdic:
         t = [rng.randrange(self.p) for _ in range(depth)]
-        return self._point(t, depth)
-
-    def _point(self, t, depth):
-        tv = sum(d * self.p ** i for i, d in enumerate(t))
-        value = self.a + Fraction(self.p) ** (-self.e) * tv
-        return embed(value, self.p, -self.e + depth)
+        return _point(self, t, depth)
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,11 +95,6 @@ class SphereGroup:
     @property
     def kind(self) -> str:
         return "sphere"
-
-    @property
-    def r_as_padic(self) -> PAdic:
-        # p^e with unit digits (1, 0, 0, ...)
-        return PAdic(self.p, self.e, 1, DEFAULT_PRECISION)
 
     def _check_member(self, x: PAdic):
         if not contains(self.carrier, x):
@@ -128,12 +125,7 @@ class SphereGroup:
     def sample(self, rng: Random, depth: int = SAMPLE_DEPTH) -> PAdic:
         t = [rng.randrange(1, self.p)]
         t += [rng.randrange(self.p) for _ in range(depth - 1)]
-        return self._point(t, depth)
-
-    def _point(self, t, depth):
-        tv = sum(d * self.p ** i for i, d in enumerate(t))
-        value = self.a + Fraction(self.p) ** (-self.e) * tv
-        return embed(value, self.p, -self.e + depth)
+        return _point(self, t, depth)
 
 
 Group = BallGroup | SphereGroup

@@ -169,3 +169,17 @@ def test_selftest_exits_zero(capsys):
     lines = [ln for ln in out.splitlines() if ln]
     assert len(lines) == 9
     assert all(ln.startswith("PASS") for ln in lines)
+
+
+def test_nonpositive_trials_and_negative_iters_are_input_errors(capsys):
+    sphere = ["--p", "2", "--sphere-center", "0", "--sphere-exp", "0"]
+    for op, fmap, trials in (("ergodic", "x+2", "0"), ("ergodic", "x+2", "-5"),
+                             ("verify", "x^2", "0"), ("rho", "x+2", "0")):
+        code, out, err = run(capsys, "dyn", op, *sphere, "--map", fmap,
+                             "--trials", trials, "--json")
+        assert (code, out) == (2, ""), (op, trials)
+        assert "trials" in err
+    code, out, err = run(capsys, "dyn", "orbit", *sphere, "--map", "x+2",
+                         "--start", "1", "--iters", "-3")
+    assert (code, out) == (2, "")
+    assert "iterate" in err

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from padicdyn import dynamics
 from padicdyn.dynamics import (
     CycleStructure,
     compute_rho,
@@ -14,7 +15,12 @@ from padicdyn.dynamics import (
     orbit,
     verify_isometry,
 )
-from padicdyn.errors import InvarianceFailed, NotPermutation, ResourceLimit
+from padicdyn.errors import (
+    InputError,
+    InvarianceFailed,
+    NotPermutation,
+    ResourceLimit,
+)
 from padicdyn.geometry import (
     Sphere,
     canonical_ball,
@@ -268,3 +274,70 @@ def test_scaling_orbit_displacements_constant(su):
     rec = orbit(make_map([Fraction(0), Fraction(u)]), embed(1, p), 30)
     vals = [e for e in rec.displacement_exps if e is not None]
     assert len(set(vals)) <= 1
+
+
+def test_trials_and_iterates_are_validated():
+    s, f = unit_sphere(2), parse_map("x+2")
+    for trials in (0, -5):
+        with pytest.raises(InputError):
+            verify_isometry(s, f, trials=trials)
+        with pytest.raises(InputError):
+            compute_rho(s, f, trials=trials)
+        with pytest.raises(InputError):
+            ergodicity_verdict(s, f, trials=trials)
+    with pytest.raises(InputError):
+        orbit(f, embed(1, 2), -3)
+    assert orbit(f, embed(1, 2), 0).points == (embed(1, 2),)
+
+
+def test_verdict_evaluates_each_sampled_point_once(monkeypatch):
+    calls = []
+    original = dynamics.eval_map
+
+    def counting(f, x):
+        calls.append(x)
+        return original(f, x)
+
+    monkeypatch.setattr(dynamics, "eval_map", counting)
+    v = ergodicity_verdict(Sphere(2, 0, 0), parse_map("x+4"), trials=40)
+    assert (v.reason, v.level) == ("MeasureCriterion", None)
+    # 40 trials of an (x, y) pair; the displacement survey reuses f(x)
+    assert len(calls) == 80
+
+
+@st.composite
+def sphere_maps(draw):
+    """An affine or Moebius map in sphere coordinates u = x - c:
+    u -> (a u + b) / (1 + d u), with valuations around the isometry edges."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    e = draw(st.integers(min_value=-2, max_value=2))
+    c = draw(st.fractions(min_value=-4, max_value=4, max_denominator=p ** 2)
+             .filter(lambda q: q != 0))
+    unit = st.integers(min_value=1, max_value=p ** 2 - 1).filter(lambda t: t % p)
+
+    def scaled(lo, hi):
+        return draw(st.integers(min_value=-p, max_value=p)) * Fraction(p) ** draw(
+            st.integers(min_value=lo, max_value=hi))
+
+    a = draw(unit) * Fraction(p) ** draw(st.integers(min_value=0, max_value=1))
+    b = scaled(-e - 1, -e + 3)
+    d = scaled(e, e + 3) if draw(st.booleans()) else Fraction(0)
+    num = [c - c * c * d - a * c + b, c * d + a]
+    den = [1 - d * c, d]
+    return Sphere(p, e, c), make_map(num, den)
+
+
+@given(sphere_maps(), st.integers(min_value=0, max_value=3))
+def test_verdict_reads_verify_then_rho_on_one_stream(case, seed):
+    s, f = case
+    iso = verify_isometry(s, f, trials=30, seed=seed)
+    rho = compute_rho(s, f, trials=30, seed=seed) if iso.passed else None
+    v = ergodicity_verdict(s, f, max_level=2, trials=30, seed=seed)
+    if rho is None:
+        assert (v.verdict, v.witness) == ("NotIsometry", iso.witness)
+    elif rho.kind != "Constant":
+        assert (v.verdict, v.reason, v.witness) == (
+            "AssumptionViolated", rho.kind, rho.witness)
+    else:
+        assert v.rho_exp == rho.rho_exp
+        assert v.verdict in ("NotErgodic", "ErgodicUpToLevel")
