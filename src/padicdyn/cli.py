@@ -71,7 +71,7 @@ def _operand(tok: str, p: int, end: int, prec: int) -> PAdic:
     return embed(parse_rational(tok), p, end + prec)
 
 
-_REGION = re.compile(r"([VS])\[([^\]]+)\]\(([^()]*)\)\Z")
+_REGION = re.compile(r"([VS])\[\s*(?:(\d+)\s*\^\s*)?([+-]?\d+)\s*\]\(([^()]*)\)\Z")
 
 
 def _parse_region(tok: str, p: int | None):
@@ -79,19 +79,15 @@ def _parse_region(tok: str, p: int | None):
     m = _REGION.match(tok.strip())
     if m is None:
         raise InputError("cannot read region %r; expected V[p^e](center)" % tok)
-    kind, radius, center = m.groups()
-    if "^" in radius:
-        base, _, exp = radius.partition("^")
+    kind, base, exp, center = m.groups()
+    if base is not None:
         rp = int(base)
         if p is not None and rp != p:
             raise InputError("region %r names p=%d, expected %d" % (tok, rp, p))
         p = rp
-        e = int(exp)
-    else:
-        if p is None:
-            raise InputError("region %r has no prime and --p was not given" % tok)
-        e = int(radius)
-    return kind, p, e, parse_rational(center)
+    elif p is None:
+        raise InputError("region %r has no prime and --p was not given" % tok)
+    return kind, p, int(exp), parse_rational(center)
 
 
 def _parse_ball_set(text: str, p: int) -> list:

@@ -39,14 +39,10 @@ from .geometry import (
     locate_cell,
     sphere_cells,
 )
-from .groups import SphereGroup
+from .groups import SphereGroup, draw
 from .mapdsl import RationalMap, eval_map
 from .measure import normalized_measure
-from .padic import DEFAULT_PRECISION, PAdic
-
-# displacement must vanish this many digits past the sphere radius
-# before a point counts as fixed at working precision
-FIXED_POINT_MARGIN = 8
+from .padic import DEFAULT_PRECISION, PAdic, rational_valuation
 
 
 @dataclass(frozen=True)
@@ -54,7 +50,7 @@ class IsometryCheck:
     passed: bool
     witness: dict | None
     trials: int
-    images: tuple = ()  # (x, f(x)) of each evaluated trial, in sampling order
+    images: tuple = ()  # exact (x, f(x)) of each evaluated trial, in sampling order
 
 
 @dataclass(frozen=True)
@@ -125,57 +121,51 @@ class ErgodicityVerdict:
         return out
 
 
-def _render(x: PAdic) -> str:
-    try:
-        return x.render()
-    except PrecisionError:
-        return str(x)
+def _witness(s: Sphere, depth: int, x: Fraction) -> str:
+    """An exact point rendered with depth digits past the sphere radius."""
+    return embed(x, s.p, -s.e + depth).render()
 
 
-def _coverage(s: Sphere, depth: int, cap: int = 64) -> list:
+def _coverage(s: Sphere, cap: int = 64) -> list:
     """Cell centers of every level whose cell count stays under cap.
 
     Deterministic probes that hit each coarse cell before random
-    sampling takes over; centers are embedded with depth digits past
-    the sphere radius.
+    sampling takes over.
     """
-    pts = []
-    k = 1
-    while k <= 4 and cell_count(s.p, k) <= cap:
-        for j in range(cell_count(s.p, k)):
-            pts.append(embed(cell_center(s, k, j), s.p, -s.e + depth))
-        k += 1
-    return pts
+    levels = [k for k in range(1, 5) if cell_count(s.p, k) <= cap]
+    return [cell_center(s, k, j) for k in levels for j in range(cell_count(s.p, k))]
 
 
 def _survey(s: Sphere, trials: int, seed: int, depth: int):
-    """The sampled (x, y) pairs: x runs through the coverage pool, then
-    Haar samples; y is a Haar sample.  Both draw from one Random(seed).
+    """The sampled (x, y) pairs, exact rationals: x runs through the
+    coverage pool, then Haar samples of depth digits; y is a Haar sample.
+    Both draw from one Random(seed).
     """
     if trials < 1:
         raise InputError("trials must be at least 1, got %d" % trials)
     g = SphereGroup(s.p, s.e, s.center)
     rng = Random(seed)
-    pool = _coverage(s, depth)
+    pool = _coverage(s)
     for t in range(trials):
-        x = pool[t] if t < len(pool) else g.sample(rng, depth)
-        yield x, g.sample(rng, depth)
+        x = pool[t] if t < len(pool) else draw(g, rng, depth)
+        yield x, draw(g, rng, depth)
 
 
 def verify_isometry(s: Sphere, f: RationalMap, trials: int = 200, seed: int = 0,
                     depth: int = DEFAULT_PRECISION) -> IsometryCheck:
     """Sampled check that f maps the sphere to itself preserving distances.
 
-    Evaluation failures (division by zero on the carrier) and certified
-    distance distortions are returned as witnesses, not raised.  A
-    distortion too small to certify at the working window raises
-    PrecisionExhausted.
+    The sampled points are exact rationals and f is evaluated on them
+    exactly, so membership and every distance are exact.  depth sets the
+    digits of each Haar sample and the width at which witnesses render.
+    Evaluation failures (division by zero on the carrier) and distance
+    distortions are returned as witnesses, not raised.
     """
     images = []
 
     def failed(note: str) -> IsometryCheck:
-        return IsometryCheck(False, {"x": _render(x), "y": _render(y), "note": note},
-                             trials, tuple(images))
+        return IsometryCheck(False, {"x": _witness(s, depth, x), "y": _witness(s, depth, y),
+                                     "note": note}, trials, tuple(images))
 
     for x, y in _survey(s, trials, seed, depth):
         try:
@@ -184,43 +174,36 @@ def verify_isometry(s: Sphere, f: RationalMap, trials: int = 200, seed: int = 0,
         except DivisionByZero as err:
             return failed("evaluation failed: %s" % err)
         if not contains(s, fx):
-            return failed("image %s leaves the sphere" % _render(fx))
+            return failed("image %s leaves the sphere" % _witness(s, depth, fx))
         images.append((x, fx))
-        d_in = x - y
-        if d_in.is_zero or d_in.is_flagged:
+        if x == y:
             continue
-        d_out = fx - fy
-        if d_out.is_zero or d_out.is_flagged:
-            bound = d_out.v if d_out.is_flagged else None
-            if bound is not None and bound <= d_in.v:
-                raise PrecisionExhausted(
-                    "cannot resolve |f(x)-f(y)| past p^-%d" % bound)
-            return failed("distance p^%d contracted below window" % (-d_in.v))
-        if d_out.v != d_in.v:
-            return failed("distance p^%d mapped to p^%d" % (-d_in.v, -d_out.v))
+        d_in = rational_valuation(x - y, s.p)
+        if fx == fy:  # the note keeps its wording so that CLI witnesses do not change
+            return failed("distance p^%d contracted below window" % -d_in)
+        d_out = rational_valuation(fx - fy, s.p)
+        if d_out != d_in:
+            return failed("distance p^%d mapped to p^%d" % (-d_in, -d_out))
     return IsometryCheck(True, None, trials, tuple(images))
 
 
-def _displacements(s: Sphere, images) -> RhoResult:
-    """Displacement survey over (x, f(x)) pairs, read in order."""
+def _displacements(s: Sphere, images, depth: int) -> RhoResult:
+    """Displacement survey over exact (x, f(x)) pairs, read in order."""
     profile = []
     const_exp = None
     first = None
     for x, fx in images:
-        d = fx - x
-        if d.is_zero or (d.is_flagged and d.v >= -s.e + FIXED_POINT_MARGIN):
-            return RhoResult("ZeroSomewhere", None, {"x": _render(x)}, tuple(profile))
-        if d.is_flagged:
-            raise PrecisionExhausted(
-                "displacement at %s vanishes through the window" % _render(x))
-        exp = -d.v
-        profile.append((_render(x), exp))
+        if fx == x:
+            return RhoResult("ZeroSomewhere", None, {"x": _witness(s, depth, x)},
+                             tuple(profile))
+        exp = -rational_valuation(fx - x, s.p)
+        profile.append((_witness(s, depth, x), exp))
         if const_exp is None:
             const_exp = exp
             first = x
         elif exp != const_exp:
             return RhoResult("NonConstant", None, {
-                "x": _render(first), "y": _render(x),
+                "x": _witness(s, depth, first), "y": _witness(s, depth, x),
                 "note": "displacements p^%d and p^%d" % (const_exp, exp),
             }, tuple(profile))
     return RhoResult("Constant", const_exp, None, tuple(profile))
@@ -228,9 +211,9 @@ def _displacements(s: Sphere, images) -> RhoResult:
 
 def compute_rho(s: Sphere, f: RationalMap, trials: int = 200, seed: int = 0,
                 depth: int = DEFAULT_PRECISION) -> RhoResult:
-    """Displacement exponent survey: |f(x) - x| over verify_isometry's x stream."""
+    """Displacement exponent survey: exact |f(x) - x| over verify_isometry's x stream."""
     return _displacements(s, ((x, eval_map(f, x))
-                              for x, _ in _survey(s, trials, seed, depth)))
+                              for x, _ in _survey(s, trials, seed, depth)), depth)
 
 
 def derivative_norm(f: RationalMap, x: PAdic, h_exp: int) -> int:
@@ -295,16 +278,16 @@ def induced_cell_map(s: Sphere, f: RationalMap, k: int, guard: int = 8,
     """Permutation that f induces on the level-k cells of s.
 
     images[j] is the index of the cell containing the image of cell j's
-    center.  Raises NotPermutation when an image leaves the sphere or
-    two cells collide, which refutes the isometry assumption.
+    center, evaluated and located exactly.  Raises NotPermutation when
+    an image leaves the sphere or two cells collide, which refutes the
+    isometry assumption.  guard is accepted and unused.
     """
     count = cell_count(s.p, k)
     if count > cap:
         raise ResourceLimit("level %d needs %d cells, cap is %d" % (k, count, cap))
     images = []
     for j in range(count):
-        c = embed(cell_center(s, k, j), s.p, -s.e + k + guard)
-        fx = eval_map(f, c)
+        fx = eval_map(f, cell_center(s, k, j))
         try:
             images.append(locate_cell(s, k, fx).j)
         except InputError as err:
@@ -347,12 +330,12 @@ def minimal_invariant_ball(s: Sphere, f: RationalMap, rho_exp: int, x0: PAdic) -
     of its cell in the quotient is verified, not assumed.
     """
     if not contains(s, x0):
-        raise NotInCarrier("base point %s is not on the sphere" % _render(x0))
+        raise NotInCarrier("base point %s is not on the sphere" % x0)
     ball = canonical_ball(x0, rho_exp)
     fx0 = eval_map(f, x0)
     if not contains(ball, fx0):
         raise InvarianceFailed(
-            "f moves %s out of %s" % (_render(x0), ball))
+            "f moves %s out of %s" % (x0, ball))
     k = s.e - rho_exp
     if k >= 1:
         j = locate_cell(s, k, x0).j
@@ -380,17 +363,25 @@ def _cycle_invariant_measure(s: Sphere, cs: CycleStructure, perm: list) -> Fract
     return mu
 
 
-def _verdict_once(s: Sphere, f: RationalMap, max_level: int, trials: int,
-                  seed: int, depth: int, guard: int) -> ErgodicityVerdict:
+def ergodicity_verdict(s: Sphere, f: RationalMap, max_level: int = 8,
+                       trials: int = 200, seed: int = 0) -> ErgodicityVerdict:
+    """Decide ergodicity of f on s up to the level-max_level partition.
+
+    Pipeline: sampled isometry check, displacement survey, exact
+    measure criterion, then cycle structure of the induced permutation
+    at each level.  Every stage works on exact rationals.
+    """
+    if max_level < 1:
+        raise InputError("max_level must be at least 1")
     top = cell_count(s.p, max_level)
     if top > DEFAULT_CELL_CAP:
         raise ResourceLimit(
             "level %d needs %d cells, cap is %d" % (max_level, top, DEFAULT_CELL_CAP))
-    iso = verify_isometry(s, f, trials=trials, seed=seed, depth=depth)
+    iso = verify_isometry(s, f, trials=trials, seed=seed)
     if not iso.passed:
         return ErgodicityVerdict("NotIsometry", s.p, reason="IsometryFailed",
                                  witness=iso.witness)
-    rho = _displacements(s, iso.images)
+    rho = _displacements(s, iso.images, DEFAULT_PRECISION)
     if rho.kind != "Constant":
         return ErgodicityVerdict("AssumptionViolated", s.p, reason=rho.kind,
                                  witness=rho.witness)
@@ -402,7 +393,7 @@ def _verdict_once(s: Sphere, f: RationalMap, max_level: int, trials: int,
                                  rho_exp=rho_exp, criterion=criterion,
                                  rho_equals_radius=flat)
     for k in range(1, max_level + 1):
-        perm = induced_cell_map(s, f, k, guard=guard)
+        perm = induced_cell_map(s, f, k)
         cs = cycle_structure(perm, k)
         if len(cs.cycles) >= 2:
             mu = _cycle_invariant_measure(s, cs, perm)
@@ -413,20 +404,3 @@ def _verdict_once(s: Sphere, f: RationalMap, max_level: int, trials: int,
     return ErgodicityVerdict("ErgodicUpToLevel", s.p, rho_exp=rho_exp,
                              criterion=criterion, level=max_level,
                              rho_equals_radius=flat)
-
-
-def ergodicity_verdict(s: Sphere, f: RationalMap, max_level: int = 8,
-                       trials: int = 200, seed: int = 0) -> ErgodicityVerdict:
-    """Decide ergodicity of f on s up to the level-max_level partition.
-
-    Pipeline: sampled isometry check, displacement survey, exact
-    measure criterion, then cycle structure of the induced permutation
-    at each level.  On a precision failure every stage is retried once
-    with doubled working precision before the error propagates.
-    """
-    if max_level < 1:
-        raise InputError("max_level must be at least 1")
-    try:
-        return _verdict_once(s, f, max_level, trials, seed, DEFAULT_PRECISION, 8)
-    except PrecisionError:
-        return _verdict_once(s, f, max_level, trials, seed, 2 * DEFAULT_PRECISION, 16)

@@ -101,13 +101,20 @@ class ClopenSet:
     balls: tuple[Ball, ...]
 
 
-def contains(region: Ball | Sphere, x: PAdic) -> bool:
+def contains(region: Ball | Sphere, x) -> bool:
     """Certified membership; never answers from an insufficient window.
+
+    A rational x is tested exactly, by the valuation of x - center.
 
     Raises:
         InsufficientPrecision: x - center is flagged zero too shallow to
             decide the comparison with the radius.
     """
+    if not isinstance(x, PAdic):
+        d = x - region.center
+        if isinstance(region, Ball):
+            return d == 0 or rational_valuation(d, region.p) >= -region.e
+        return d != 0 and rational_valuation(d, region.p) == -region.e
     if x.p != region.p:
         raise InputError(f"mixed primes: {x.p} and {region.p}")
     c = embed(region.center, region.p, x.known_mod)
@@ -210,8 +217,10 @@ def sphere_cells(s: Sphere, k: int, cap: int = DEFAULT_CELL_CAP) -> list[Ball]:
     return [cell_ball(s, k, j) for j in range(count)]
 
 
-def locate_cell(s: Sphere, k: int, x: PAdic) -> CellIndex:
+def locate_cell(s: Sphere, k: int, x) -> CellIndex:
     """The unique level-k cell containing x; inverse of sphere_cells order.
+
+    A rational x is located exactly, by (x - center) p^e modulo p^k.
 
     Raises:
         NotOnSphere: certified |x - center| != p^e.
@@ -221,6 +230,9 @@ def locate_cell(s: Sphere, k: int, x: PAdic) -> CellIndex:
         raise InputError("cell level must be >= 1")
     if not contains(s, x):
         raise NotOnSphere(f"point has |x - c| != p^{s.e}")
+    if not isinstance(x, PAdic):
+        u = int(rational_truncate((x - s.center) * s.radius, s.p, k))
+        return CellIndex(k, digits_index(s.p, [u // s.p ** i % s.p for i in range(k)]))
     d = x - embed(s.center, s.p, x.known_mod)
     if d.n < k:
         raise InsufficientPrecision(

@@ -28,11 +28,17 @@ def _window_end(*values: PAdic) -> int | None:
     return min(ends) if ends else None
 
 
-def _point(g: Group, t, depth: int) -> PAdic:
-    """The carrier point a + p^-e (t_0 + t_1 p + ...), to depth digits."""
-    tv = sum(d * g.p ** i for i, d in enumerate(t))
-    value = g.a + Fraction(g.p) ** (-g.e) * tv
-    return embed(value, g.p, -g.e + depth)
+def draw(g: Group, rng: Random, depth: int = SAMPLE_DEPTH) -> Fraction:
+    """The exact carrier point a + p^-e (t_0 + t_1 p + ... + t_{depth-1} p^{depth-1})
+    with Haar-random digits, drawn from rng in order t_0, t_1, ...; on a
+    sphere t_0 is nonzero."""
+    p = g.p
+    tv = rng.randrange(1 if g.kind == "sphere" else 0, p)
+    scale = 1
+    for _ in range(depth - 1):
+        scale *= p
+        tv += rng.randrange(p) * scale
+    return g.a + Fraction(p) ** (-g.e) * tv
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,8 +80,7 @@ class BallGroup:
         return a - x
 
     def sample(self, rng: Random, depth: int = SAMPLE_DEPTH) -> PAdic:
-        t = [rng.randrange(self.p) for _ in range(depth)]
-        return _point(self, t, depth)
+        return embed(draw(self, rng, depth), self.p, -self.e + depth)
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,9 +128,7 @@ class SphereGroup:
         return w + embed(self.a, self.p, _window_end(w))
 
     def sample(self, rng: Random, depth: int = SAMPLE_DEPTH) -> PAdic:
-        t = [rng.randrange(1, self.p)]
-        t += [rng.randrange(self.p) for _ in range(depth - 1)]
-        return _point(self, t, depth)
+        return embed(draw(self, rng, depth), self.p, -self.e + depth)
 
 
 Group = BallGroup | SphereGroup

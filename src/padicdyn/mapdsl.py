@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DegreeCap, ParseError
+from .errors import DegreeCap, DivisionByZero, ParseError
 from .geometry import embed
 from .padic import PAdic
 
@@ -235,26 +235,37 @@ def render_map(f: RationalMap) -> str:
 
 
 @lru_cache(maxsize=4096)
-def _coeff_embed(c: Fraction, p: int, end: int) -> PAdic:
-    return embed(c, p, end)
+def _embed_coeffs(coeffs: tuple[Fraction, ...], p: int, end: int) -> tuple[PAdic, ...]:
+    return tuple(embed(c, p, end) for c in coeffs)
 
 
-def _eval_poly(coeffs: tuple[Fraction, ...], x: PAdic, end: int) -> PAdic:
-    acc = _coeff_embed(coeffs[-1], x.p, end)
+def _horner(coeffs: tuple, x):
+    acc = coeffs[-1]
     for c in reversed(coeffs[:-1]):
-        acc = acc * x + _coeff_embed(c, x.p, end)
+        acc = acc * x + c
     return acc
 
 
-def eval_map(f: RationalMap, x: PAdic) -> PAdic:
-    """num(x)/den(x) by Horner evaluation, precision tracked throughout.
+def eval_map(f: RationalMap, x):
+    """num(x)/den(x) by Horner evaluation.
+
+    A rational x gives the exact rational f(x).  A PAdic x gives a PAdic,
+    with precision tracked throughout.
 
     Raises:
         DivisionByZero: denominator zero (or flagged zero) at x.
         PrecisionExhausted: propagated from consumed flagged values.
     """
-    end = (x.known_mod if x.known_mod is not None else 0) + 8
-    top = _eval_poly(f.num, x, end)
+    num, den = f.num, f.den
+    if isinstance(x, PAdic):
+        end = (x.known_mod if x.known_mod is not None else 0) + 8
+        num, den = _embed_coeffs(num, x.p, end), _embed_coeffs(den, x.p, end)
+    top = _horner(num, x)
     if f.is_polynomial:
         return top
-    return top * _eval_poly(f.den, x, end).inv()
+    bottom = _horner(den, x)
+    if isinstance(bottom, PAdic):
+        return top * bottom.inv()
+    if bottom == 0:
+        raise DivisionByZero("inverse of a value not certified nonzero")
+    return top / bottom

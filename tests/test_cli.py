@@ -183,3 +183,20 @@ def test_nonpositive_trials_and_negative_iters_are_input_errors(capsys):
                          "--start", "1", "--iters", "-3")
     assert (code, out) == (2, "")
     assert "iterate" in err
+
+
+def test_translation_past_the_old_window_answers(capsys):
+    code, out, _ = run(capsys, "dyn", "ergodic", "--p", "5", "--sphere-center=5",
+                       "--sphere-exp=1", "--map=582076609134674072265625+1*x", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["verdict"], payload["reason"]) == ("NotErgodic", "MeasureCriterion")
+    assert payload["rho"] == "5^-34"
+
+
+def test_malformed_region_radius_is_an_input_error(capsys):
+    for argv in (["measure", "--sphere", "S[2^x](0)", "--set", "V[2^-1](1)"],
+                 ["measure", "--p", "3", "--sphere-exp", "0", "--set", "V[y](1)"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "region" in err

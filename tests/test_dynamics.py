@@ -16,20 +16,25 @@ from padicdyn.dynamics import (
     verify_isometry,
 )
 from padicdyn.errors import (
+    DivisionByZero,
     InputError,
     InvarianceFailed,
     NotPermutation,
+    PrecisionError,
     ResourceLimit,
 )
 from padicdyn.geometry import (
     Sphere,
     canonical_ball,
+    cell_center,
+    cell_count,
     clopen,
     digits_index,
     embed,
     index_digits,
+    locate_cell,
 )
-from padicdyn.mapdsl import make_map, parse_map
+from padicdyn.mapdsl import eval_map, make_map, parse_map
 from padicdyn.measure import haar_clopen, haar_sphere
 
 
@@ -341,3 +346,63 @@ def test_verdict_reads_verify_then_rho_on_one_stream(case, seed):
     else:
         assert v.rho_exp == rho.rho_exp
         assert v.verdict in ("NotErgodic", "ErgodicUpToLevel")
+
+
+def test_pipeline_evaluates_only_exact_points(monkeypatch):
+    seen = set()
+    original = dynamics.eval_map
+
+    def recording(f, x):
+        seen.add(type(x))
+        return original(f, x)
+
+    monkeypatch.setattr(dynamics, "eval_map", recording)
+    s, f = Sphere(3, -1, Fraction(1, 3)), parse_map("4x-1")
+    verify_isometry(s, f, trials=30)
+    compute_rho(s, f, trials=30)
+    v = ergodicity_verdict(Sphere(2, 0, 0), parse_map("3x"), max_level=4, trials=30)
+    assert v.reason == "CycleSplit"
+    assert seen == {Fraction}
+
+
+def test_cell_map_of_a_sphere_through_zero():
+    # the level-1 cell center of S_1(-1) is -1 + 1 = 0, which the windowed
+    # cell map evaluated with only the 8 guard digits and gave up at level 9
+    v = ergodicity_verdict(Sphere(2, 0, -1), parse_map("x+2"), max_level=9)
+    assert (v.verdict, v.level, v.rho_exp) == ("ErgodicUpToLevel", 9, -1)
+
+
+def test_displacement_past_the_window_is_not_a_fixed_point():
+    v = ergodicity_verdict(Sphere(2, 0, 0), parse_map("x+1099511627776"))
+    assert (v.verdict, v.reason, v.rho_exp) == ("NotErgodic", "MeasureCriterion", -40)
+    assert v.criterion == Fraction(1, 549755813888)
+
+
+def _windowed_cell_map(s, f, k, guard=8):
+    """Reference cell map in windowed arithmetic: each cell center embedded
+    k + guard digits past the radius, f evaluated on the PAdic value, the
+    image located by its known digits."""
+    images = []
+    for j in range(cell_count(s.p, k)):
+        c = embed(cell_center(s, k, j), s.p, -s.e + k + guard)
+        try:
+            images.append(locate_cell(s, k, eval_map(f, c)).j)
+        except InputError:
+            raise NotPermutation("image of cell %d leaves the sphere" % j) from None
+    if sorted(images) != list(range(len(images))):
+        raise NotPermutation("level %d images are not a permutation" % k)
+    return images
+
+
+@given(sphere_maps(), st.integers(min_value=1, max_value=3))
+def test_cell_map_matches_the_windowed_reference(case, k):
+    s, f = case
+    try:
+        want = _windowed_cell_map(s, f, k)
+    except (PrecisionError, DivisionByZero):
+        return
+    except NotPermutation:
+        with pytest.raises(NotPermutation):
+            induced_cell_map(s, f, k)
+        return
+    assert induced_cell_map(s, f, k) == want
