@@ -200,3 +200,29 @@ def test_malformed_region_radius_is_an_input_error(capsys):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert "region" in err
+
+
+EXACT_COMMANDS = (
+    ["measure", "--p", "3", "--sphere-exp", "0", "--set", "V[-1](1)"],
+    ["group", "check", "--p", "3", "--center", "0", "--exp", "0", "--kind", "ball",
+     "--trials", "5"],
+    ["dyn", "ergodic", "--p", "3", "--sphere-center", "0", "--sphere-exp", "0",
+     "--map", "x+3", "--levels", "3", "--trials", "20"],
+)
+
+
+def test_exact_commands_ignore_the_precision_variable(capsys, monkeypatch):
+    for argv in EXACT_COMMANDS:
+        monkeypatch.delenv("PADICDYN_PREC", raising=False)
+        code, want, _ = run(capsys, *argv, "--json")
+        assert code == 0, argv
+        for value in ("4", "64", "digits"):
+            monkeypatch.setenv("PADICDYN_PREC", value)
+            assert run(capsys, *argv, "--json") == (0, want, ""), (argv, value)
+
+
+def test_explicit_precision_on_an_exact_command_is_an_input_error(capsys):
+    for argv in EXACT_COMMANDS + (["selftest"],):
+        code, out, err = run(capsys, *argv, "--prec", "64")
+        assert (code, out) == (2, ""), argv
+        assert "--prec" in err

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from padicdyn import dynamics
+from padicdyn import dynamics, selftest
 from padicdyn.dynamics import (
     CycleStructure,
     compute_rho,
@@ -406,3 +406,12 @@ def test_cell_map_matches_the_windowed_reference(case, k):
             induced_cell_map(s, f, k)
         return
     assert induced_cell_map(s, f, k) == want
+
+
+def test_residue_oracle_reduces_rational_coefficients():
+    f = parse_map("1/2*x")
+    assert selftest._residue_cell_map(3, 2, f.num, f.den) == [4, 3, 5, 0, 2, 1]
+    assert selftest._residue_cell_map(3, 2, f.num, f.den) == induced_cell_map(unit_sphere(3), f, 2)
+    g = parse_map("x+3/2")
+    with pytest.raises(ValueError):
+        selftest._residue_cell_map(2, 2, g.num, g.den)

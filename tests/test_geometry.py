@@ -1,13 +1,15 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from padicdyn.errors import (
+    InputError,
     InsufficientPrecision,
     NotInCarrier,
     NotOnSphere,
     OverlapDetected,
+    PadicError,
     ResourceLimit,
 )
 from padicdyn.geometry import (
@@ -21,6 +23,7 @@ from padicdyn.geometry import (
     cell_count,
     clopen,
     contains,
+    digits_index,
     embed,
     locate_cell,
     sphere_cells,
@@ -180,3 +183,97 @@ def test_ball_equality_is_membership(p, e, c1, c2):
             same_members = False
             break
     assert (b1 == b2) == same_members
+
+
+# Windowed references: contains, locate_cell and canonical_ball on a PAdic
+# as they were computed by embedding the center into x's window and
+# subtracting.  The library reads a PAdic as the exact rational unit*p^v
+# with a window end and runs its exact code; the property below holds it
+# to these answers and messages.
+def _windowed_contains(region, x):
+    if x.p != region.p:
+        raise InputError(f"mixed primes: {x.p} and {region.p}")
+    d = x - embed(region.center, region.p, x.known_mod)
+    lo = -region.e
+    if isinstance(region, Ball):
+        if d.is_zero:
+            return True
+        if d.is_flagged:
+            if d.v >= lo:
+                return True
+            raise InsufficientPrecision(
+                f"|x - center| only bounded by p^{-d.v}, radius p^{region.e}"
+            )
+        return d.v >= lo
+    if d.is_zero:
+        return False
+    if d.is_flagged:
+        if d.v > lo:
+            return False
+        raise InsufficientPrecision(
+            f"x - center ≡ 0 mod p^{d.v}: sphere membership undecidable"
+        )
+    return d.v == lo
+
+
+def _windowed_locate_cell(s, k, x):
+    if not _windowed_contains(s, x):
+        raise NotOnSphere(f"point has |x - c| != p^{s.e}")
+    d = x - embed(s.center, s.p, x.known_mod)
+    if d.n < k:
+        raise InsufficientPrecision(f"need {k} digits of x - center, have {d.n}")
+    return CellIndex(k, digits_index(s.p, d.digits[:k]))
+
+
+def _windowed_canonical_ball(c, e):
+    p, lo = c.p, -e
+    if c.is_zero:
+        return Ball(p, e, Fraction(0))
+    if c.known_mod < lo:
+        raise InsufficientPrecision(f"center known mod p^{c.known_mod}, need p^{lo}")
+    if c.is_flagged or c.v >= lo:
+        return Ball(p, e, Fraction(0))
+    return Ball(p, e, Fraction(c.unit % p ** (lo - c.v)) * Fraction(p) ** c.v)
+
+
+@st.composite
+def windowed_points(draw):
+    """A sphere (center 0 or with a p-adic denominator) and a PAdic point:
+    a 1-9 digit window near the center, an arbitrary window, a flagged
+    zero, the exact zero, or a point over another prime."""
+    p = draw(primes)
+    e = draw(st.integers(-3, 3))
+    center = Fraction(draw(st.integers(-30, 30)), draw(st.sampled_from([1, 2, 3, p, p * p])))
+    s = Sphere(p, e, center)
+    kind = draw(st.sampled_from(["near", "near", "near", "window", "flagged", "zero", "mixed"]))
+    if kind == "zero":
+        return s, PAdic.zero(p)
+    if kind == "flagged":
+        return s, PAdic.flagged_zero(p, draw(st.integers(-e - 4, -e + 6)))
+    if kind == "mixed":
+        return s, from_rational(1, 11 if p == 7 else 7, 4)
+    n = draw(st.integers(1, 9))
+    if kind == "window":
+        unit = draw(st.integers(1, p ** n - 1).filter(lambda u: u % p != 0))
+        return s, PAdic(p, draw(st.integers(-e - 4, -e + 6)), unit, n)
+    step = Fraction(p) ** draw(st.integers(-e - 2, -e + 8))
+    return s, from_rational(center + step * draw(st.integers(0, p ** 3)), p, n)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except PadicError as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=400)
+@given(windowed_points(), st.integers(1, 10))
+def test_windowed_points_take_the_exact_path(case, k):
+    s, x = case
+    for region in (s, canonical_ball(s.center, s.e, p=s.p),
+                   canonical_ball(s.center, s.e - k, p=s.p)):
+        assert _outcome(contains, region, x) == _outcome(_windowed_contains, region, x)
+    assert _outcome(locate_cell, s, k, x) == _outcome(_windowed_locate_cell, s, k, x)
+    for e in (s.e, s.e - k, s.e + k):
+        assert _outcome(canonical_ball, x, e) == _outcome(_windowed_canonical_ball, x, e)

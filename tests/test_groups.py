@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from padicdyn.errors import InsufficientPrecision, KindMismatch, NotInCarrier
 from padicdyn.geometry import contains
 from padicdyn.groups import (
+    SAMPLE_DEPTH,
     BallGroup,
     SphereGroup,
     certified_equal,
@@ -178,3 +179,25 @@ def test_iso_homomorphism(src, dst, seed):
     back = iso(dst, src, iso(src, dst, x))
     assert certified_equal(src, back, x)
     assert certified_equal(dst, iso(src, dst, src.identity()), dst.identity())
+
+
+def test_axiom_check_draws_each_triple_once(monkeypatch):
+    draws = []
+    real = SphereGroup.sample
+
+    def counted(self, rng, depth=SAMPLE_DEPTH):
+        draws.append(self)
+        return real(self, rng, depth)
+
+    monkeypatch.setattr(SphereGroup, "sample", counted)
+    reports = check_group_axioms(SphereGroup(3, -1, Fraction(1, 2)), trials=25, seed=5)
+    assert [r.trials for r in reports] == [25] * 4 and all(r.passed for r in reports)
+    assert len(draws) == 3 * 25
+    # each law keeps its own count: the corrupted operation stays commutative
+    # for all 40 triples while associativity and identity stop at a failure
+    draws.clear()
+    bad = {r.law: r for r in check_group_axioms(
+        _RadiusSquaredCorruption(2, -1, Fraction(0)), trials=40, seed=3)}
+    assert bad["commutativity"].passed and bad["commutativity"].trials == 40
+    assert bad["associativity"].trials < 40 and bad["identity"].trials < 40
+    assert len(draws) == 3 * 40
