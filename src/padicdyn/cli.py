@@ -38,7 +38,7 @@ MIN_WORKING_PRECISION = 8
 
 @dataclass(frozen=True)
 class RunConfig:
-    precision: int
+    precision: int | None
     seed: int
     json_out: bool
 
@@ -53,10 +53,20 @@ def _env_precision() -> int:
         raise InputError("%s must be an integer, got %r" % (PREC_ENV, raw))
 
 
-def build_config(ns, floor: int = MIN_WORKING_PRECISION) -> RunConfig:
-    prec = ns.prec if ns.prec is not None else _env_precision()
-    if prec < floor:
-        raise InputError("precision must be at least %d, got %d" % (floor, prec))
+def build_config(ns, floor: int | None = MIN_WORKING_PRECISION) -> RunConfig:
+    """Working precision from --prec, else PADICDYN_PREC, at least `floor`.
+
+    floor None marks a command that computes exactly: it reads neither,
+    and an explicit --prec is an input error.
+    """
+    if floor is None:
+        if ns.prec is not None:
+            raise InputError("this command computes exactly and takes no --prec")
+        prec = None
+    else:
+        prec = ns.prec if ns.prec is not None else _env_precision()
+        if prec < floor:
+            raise InputError("precision must be at least %d, got %d" % (floor, prec))
     return RunConfig(prec, getattr(ns, "seed", DEFAULT_SEED),
                      bool(getattr(ns, "json", False)))
 
@@ -151,7 +161,7 @@ def _group_for(kind: str, p: int, e: int, a: Fraction):
 
 
 def cmd_group(ns) -> int:
-    cfg = build_config(ns)
+    cfg = build_config(ns, floor=None if ns.op == "check" else MIN_WORKING_PRECISION)
     kind = {"oplus": "ball", "odot": "sphere"}.get(ns.op) or ns.kind
     g = _group_for(kind, ns.p, ns.exp, parse_rational(ns.center))
     xs = [_operand(tok, ns.p, -ns.exp, cfg.precision) for tok in ns.operands]
@@ -184,7 +194,7 @@ def cmd_group(ns) -> int:
 
 
 def cmd_measure(ns) -> int:
-    cfg = build_config(ns)
+    cfg = build_config(ns, floor=None)
     p = ns.p
     if ns.sphere is not None:
         kind, p, e, c = _parse_region(ns.sphere, p)
@@ -209,7 +219,7 @@ def _dyn_sphere(ns) -> Sphere:
 
 
 def cmd_dyn(ns) -> int:
-    cfg = build_config(ns)
+    cfg = build_config(ns, floor=None if ns.op == "ergodic" else MIN_WORKING_PRECISION)
     s = _dyn_sphere(ns)
     f = parse_map(ns.map)
     if ns.op == "verify":
@@ -324,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     dyn.set_defaults(fn=cmd_dyn)
 
     st = sub.add_parser("selftest", help="run the embedded acceptance suite")
-    st.add_argument("--prec", type=int, default=None)
     st.add_argument("--json", action="store_true")
     st.set_defaults(fn=cmd_selftest)
 

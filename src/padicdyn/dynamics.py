@@ -293,15 +293,13 @@ def induced_cell_map(s: Sphere, f: RationalMap, k: int, guard: int = 8,
         except InputError as err:
             raise NotPermutation(
                 "image of cell %d at level %d leaves the sphere" % (j, k)) from err
-    if sorted(images) != list(range(count)):
-        hit: dict = {}
-        for j, im in enumerate(images):
-            if im in hit:
-                raise NotPermutation(
-                    "cells %d and %d at level %d share image cell %d"
-                    % (hit[im], j, k, im))
-            hit[im] = j
-        raise NotPermutation("level %d images are not a permutation" % k)
+    hit: dict = {}
+    for j, im in enumerate(images):
+        if im in hit:
+            raise NotPermutation(
+                "cells %d and %d at level %d share image cell %d"
+                % (hit[im], j, k, im))
+        hit[im] = j
     return images
 
 

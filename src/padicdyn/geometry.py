@@ -101,44 +101,44 @@ class ClopenSet:
     balls: tuple[Ball, ...]
 
 
+def _read(x, p: int) -> tuple:
+    """x as (exact rational, window end): a PAdic is the class of unit*p^v
+    (0 when flagged) modulo p^known_mod; a rational or exact zero has end None."""
+    if not isinstance(x, PAdic):
+        return x, None
+    if x.p != p:
+        raise InputError(f"mixed primes: {x.p} and {p}")
+    v = x.v or 0
+    return Fraction(x.unit * p ** max(v, 0), p ** max(-v, 0)), x.known_mod
+
+
 def contains(region: Ball | Sphere, x) -> bool:
     """Certified membership; never answers from an insufficient window.
 
-    A rational x is tested exactly, by the valuation of x - center.
+    x is tested exactly, by the valuation of x - center; a PAdic x is read
+    as the rational its digits spell, known modulo its window end.
 
     Raises:
-        InsufficientPrecision: x - center is flagged zero too shallow to
-            decide the comparison with the radius.
+        InsufficientPrecision: x - center vanishes through a window too
+            shallow to decide the comparison with the radius.
     """
-    if not isinstance(x, PAdic):
-        d = x - region.center
-        if isinstance(region, Ball):
-            return d == 0 or rational_valuation(d, region.p) >= -region.e
-        return d != 0 and rational_valuation(d, region.p) == -region.e
-    if x.p != region.p:
-        raise InputError(f"mixed primes: {x.p} and {region.p}")
-    c = embed(region.center, region.p, x.known_mod)
-    d = x - c
-    lo = -region.e
-    if isinstance(region, Ball):
-        if d.is_zero:
-            return True
-        if d.is_flagged:
-            if d.v >= lo:
-                return True
+    q, end = _read(x, region.p)
+    lo, ball = -region.e, isinstance(region, Ball)
+    d = q - region.center
+    v = None if d == 0 else rational_valuation(d, region.p)
+    if end is not None and (v is None or v >= end):
+        # the window only knows x - center ≡ 0 mod p^end
+        if ball and end < lo:
             raise InsufficientPrecision(
-                f"|x - center| only bounded by p^{-d.v}, radius p^{region.e}"
+                f"|x - center| only bounded by p^{-end}, radius p^{region.e}"
             )
-        return d.v >= lo
-    if d.is_zero:
-        return False
-    if d.is_flagged:
-        if d.v > lo:
-            return False
-        raise InsufficientPrecision(
-            f"x - center ≡ 0 mod p^{d.v}: sphere membership undecidable"
-        )
-    return d.v == lo
+        if not ball and end <= lo:
+            raise InsufficientPrecision(
+                f"x - center ≡ 0 mod p^{end}: sphere membership undecidable"
+            )
+    if ball:
+        return v is None or v >= lo
+    return v == lo
 
 
 def canonical_ball(c, e: int, p: int | None = None) -> Ball:
@@ -149,20 +149,12 @@ def canonical_ball(c, e: int, p: int | None = None) -> Ball:
     """
     if isinstance(c, PAdic):
         p = c.p
-        lo = -e
-        if c.is_zero:
-            return Ball(p, e, Fraction(0))
-        if c.known_mod < lo:
-            raise InsufficientPrecision(
-                f"center known mod p^{c.known_mod}, need p^{lo}"
-            )
-        if c.is_flagged or c.v >= lo:
-            return Ball(p, e, Fraction(0))
-        u = c.unit % p ** (lo - c.v)
-        return Ball(p, e, Fraction(u) * Fraction(p) ** c.v)
-    if p is None:
+    elif p is None:
         raise InputError("rational center requires p")
-    return Ball(check_prime(p), e, rational_truncate(Fraction(c), p, -e))
+    q, end = _read(c, p)
+    if end is not None and end < -e:
+        raise InsufficientPrecision(f"center known mod p^{end}, need p^{-e}")
+    return Ball(check_prime(p), e, rational_truncate(Fraction(q), p, -e))
 
 
 def cell_count(p: int, k: int) -> int:
@@ -220,7 +212,7 @@ def sphere_cells(s: Sphere, k: int, cap: int = DEFAULT_CELL_CAP) -> list[Ball]:
 def locate_cell(s: Sphere, k: int, x) -> CellIndex:
     """The unique level-k cell containing x; inverse of sphere_cells order.
 
-    A rational x is located exactly, by (x - center) p^e modulo p^k.
+    x is located exactly, by (x - center) p^e modulo p^k.
 
     Raises:
         NotOnSphere: certified |x - center| != p^e.
@@ -230,15 +222,13 @@ def locate_cell(s: Sphere, k: int, x) -> CellIndex:
         raise InputError("cell level must be >= 1")
     if not contains(s, x):
         raise NotOnSphere(f"point has |x - c| != p^{s.e}")
-    if not isinstance(x, PAdic):
-        u = int(rational_truncate((x - s.center) * s.radius, s.p, k))
-        return CellIndex(k, digits_index(s.p, [u // s.p ** i % s.p for i in range(k)]))
-    d = x - embed(s.center, s.p, x.known_mod)
-    if d.n < k:
+    q, end = _read(x, s.p)
+    if end is not None and end + s.e < k:
         raise InsufficientPrecision(
-            f"need {k} digits of x - center, have {d.n}"
+            f"need {k} digits of x - center, have {end + s.e}"
         )
-    return CellIndex(k, digits_index(s.p, d.digits[:k]))
+    u = int(rational_truncate((q - s.center) * s.radius, s.p, k))
+    return CellIndex(k, digits_index(s.p, [u // s.p ** i % s.p for i in range(k)]))
 
 
 def subdivide(b: Ball) -> list[Ball]:

@@ -210,14 +210,16 @@ def _failure(x, y, z, lhs, rhs) -> dict:
 def check_group_axioms(g: Group, trials: int = 1000, seed: int = 0) -> list[LawReport]:
     """Randomized verification of the abelian group laws on g's carrier.
 
-    Samples Haar-uniform carrier points and checks commutativity,
-    associativity, identity, and inverse laws at the common precision
-    window.  Each law reports its first counterexample, if any;
+    Samples Haar-uniform carrier triples, once each, and checks
+    commutativity, associativity, identity, and inverse laws on every
+    triple at the common precision window.  Each law counts the triples
+    it ran and reports its first counterexample, if any;
     evaluation errors count as counterexamples and are recorded in
     place of the offending side.
     """
     if trials < 1:
         raise InputError("trials must be >= 1")
+    ident = g.identity()
 
     def law_comm(x, y, z):
         return g.combine(x, y), g.combine(y, x)
@@ -226,10 +228,10 @@ def check_group_axioms(g: Group, trials: int = 1000, seed: int = 0) -> list[LawR
         return g.combine(g.combine(x, y), z), g.combine(x, g.combine(y, z))
 
     def law_identity(x, y, z):
-        return g.combine(x, g.identity()), x
+        return g.combine(x, ident), x
 
     def law_inverse(x, y, z):
-        return g.combine(x, g.inverse(x)), g.identity()
+        return g.combine(x, g.inverse(x)), ident
 
     laws = [
         ("commutativity", law_comm, 2),
@@ -237,22 +239,23 @@ def check_group_axioms(g: Group, trials: int = 1000, seed: int = 0) -> list[LawR
         ("identity", law_identity, 1),
         ("inverse", law_inverse, 1),
     ]
-    out = []
-    for name, law, arity in laws:
-        rng = Random(seed)
-        failures: list[dict] = []
-        ran = 0
-        for _ in range(trials):
-            x, y, z = (g.sample(rng) for _ in range(3))
-            ran += 1
+    ran = [0] * len(laws)
+    first: list[dict | None] = [None] * len(laws)
+    rng = Random(seed)
+    for _ in range(trials):
+        if None not in first:
+            break
+        x, y, z = (g.sample(rng) for _ in range(3))
+        for i, (_, law, arity) in enumerate(laws):
+            if first[i] is not None:
+                continue
+            ran[i] += 1
             args = [x, y if arity >= 2 else None, z if arity >= 3 else None]
             try:
                 lhs, rhs = law(x, y, z)
-                if certified_equal(g, lhs, rhs):
-                    continue
-                failures.append(_failure(*args, lhs, rhs))
+                if not certified_equal(g, lhs, rhs):
+                    first[i] = _failure(*args, lhs, rhs)
             except PadicError as err:
-                failures.append(_failure(*args, f"{type(err).__name__}: {err}", None))
-            break
-        out.append(LawReport(name, ran, tuple(failures)))
-    return out
+                first[i] = _failure(*args, f"{type(err).__name__}: {err}", None)
+    return [LawReport(name, n, () if f is None else (f,))
+            for (name, _, _), n, f in zip(laws, ran, first)]
