@@ -276,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p_, seed=False):
         p_.add_argument("--prec", type=int, default=None,
-                        help="working digits (default %d, env %s)"
+                        help="working digits (default %d, env %s); measure, group "
+                             "check and dyn ergodic are exact and refuse it"
                              % (DEFAULT_PRECISION, PREC_ENV))
         p_.add_argument("--json", action="store_true", help="machine-readable output")
         if seed:

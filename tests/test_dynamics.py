@@ -415,3 +415,11 @@ def test_residue_oracle_reduces_rational_coefficients():
     g = parse_map("x+3/2")
     with pytest.raises(ValueError):
         selftest._residue_cell_map(2, 2, g.num, g.den)
+
+
+def test_cell_map_reports_an_escape_before_a_collision():
+    with pytest.raises(NotPermutation, match="cells 0 and 1 at level 1 share image cell 0"):
+        induced_cell_map(unit_sphere(3), parse_map("x^2"), 1)
+    # x^2+x over Q_5: cells 0 and 2 share image cell 1, and cell 3 leaves
+    with pytest.raises(NotPermutation, match="image of cell 3 at level 1 leaves the sphere"):
+        induced_cell_map(unit_sphere(5), parse_map("x^2+x"), 1)

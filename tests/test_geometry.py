@@ -186,10 +186,10 @@ def test_ball_equality_is_membership(p, e, c1, c2):
 
 
 # Windowed references: contains, locate_cell and canonical_ball on a PAdic
-# as they were computed by embedding the center into x's window and
+# in windowed arithmetic, by embedding the center into x's window and
 # subtracting.  The library reads a PAdic as the exact rational unit*p^v
 # with a window end and runs its exact code; the property below holds it
-# to these answers and messages.
+# to the same answers and messages.
 def _windowed_contains(region, x):
     if x.p != region.p:
         raise InputError(f"mixed primes: {x.p} and {region.p}")
