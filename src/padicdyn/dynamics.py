@@ -11,8 +11,10 @@ or more cycles materializes an invariant set of intermediate measure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import zip_longest
 from random import Random
 
 from .errors import (
@@ -33,11 +35,13 @@ from .geometry import (
     canonical_ball,
     cell_center,
     cell_count,
+    cell_residues,
     clopen,
     contains,
     embed,
     locate_cell,
     sphere_cells,
+    unit_residue,
 )
 from .groups import SphereGroup, draw
 from .mapdsl import RationalMap, eval_map
@@ -188,7 +192,10 @@ def verify_isometry(s: Sphere, f: RationalMap, trials: int = 200, seed: int = 0,
 
 
 def _displacements(s: Sphere, images, depth: int) -> RhoResult:
-    """Displacement survey over exact (x, f(x)) pairs, read in order."""
+    """Displacement survey over exact (x, f(x)) pairs, read in order.
+
+    The profile keeps exact (x, exponent) pairs; compute_rho renders them.
+    """
     profile = []
     const_exp = None
     first = None
@@ -197,7 +204,7 @@ def _displacements(s: Sphere, images, depth: int) -> RhoResult:
             return RhoResult("ZeroSomewhere", None, {"x": _witness(s, depth, x)},
                              tuple(profile))
         exp = -rational_valuation(fx - x, s.p)
-        profile.append((_witness(s, depth, x), exp))
+        profile.append((x, exp))
         if const_exp is None:
             const_exp = exp
             first = x
@@ -212,8 +219,9 @@ def _displacements(s: Sphere, images, depth: int) -> RhoResult:
 def compute_rho(s: Sphere, f: RationalMap, trials: int = 200, seed: int = 0,
                 depth: int = DEFAULT_PRECISION) -> RhoResult:
     """Displacement exponent survey: exact |f(x) - x| over verify_isometry's x stream."""
-    return _displacements(s, ((x, eval_map(f, x))
-                              for x, _ in _survey(s, trials, seed, depth)), depth)
+    rho = _displacements(s, ((x, eval_map(f, x))
+                             for x, _ in _survey(s, trials, seed, depth)), depth)
+    return replace(rho, profile=tuple((_witness(s, depth, x), exp) for x, exp in rho.profile))
 
 
 def derivative_norm(f: RationalMap, x: PAdic, h_exp: int) -> int:
@@ -273,26 +281,82 @@ def orbit(f: RationalMap, x0: PAdic, n: int) -> OrbitRecord:
     return OrbitRecord(x0, tuple(points), tuple(exps), period, offset)
 
 
+def _shift_poly(coeffs: tuple, c: Fraction, h: Fraction) -> list:
+    """Ascending coefficients in t of P(c + h t), for P given ascending."""
+    return [h ** j * sum(a * math.comb(i, j) * c ** (i - j) for i, a in enumerate(coeffs[j:], j))
+            for j in range(len(coeffs))]
+
+
+def _sphere_coordinates(s: Sphere, f: RationalMap) -> tuple:
+    """Integer polynomials A, B with A(t)/B(t) = p^e (f(c + p^-e t) - c).
+
+    Both are returned highest degree first, ready for Horner.  A cell
+    center is c + p^-e t for its digit sum t, and its image lies on the
+    sphere exactly when A(t)/B(t) is a p-adic unit.
+    """
+    scale = Fraction(s.p) ** s.e
+    num = _shift_poly(f.num, s.center, 1 / scale)
+    den = _shift_poly(f.den, s.center, 1 / scale)
+    top = [scale * (n - s.center * d) for n, d in zip_longest(num, den, fillvalue=0)]
+    lcm = math.lcm(*(q.denominator for q in top + den))
+    return ([q.numerator * (lcm // q.denominator) for q in reversed(top)],
+            [q.numerator * (lcm // q.denominator) for q in reversed(den)])
+
+
+def _cell_images(s: Sphere, f: RationalMap, k: int) -> list:
+    """Image cell of each level-k cell center, in cell order, in integers.
+
+    For the center's digit sum t the image is the unit A(t)/B(t) of
+    _sphere_coordinates, and its cell is that unit's residue modulo p^k.
+    A function of its own so that the p^k-entry table is freed before
+    the caller's collision pass, which keeps the peak memory at that of
+    the images and the pass.
+    """
+    p, m = s.p, s.p ** k
+    top, bottom = _sphere_coordinates(s, f)
+    residues = cell_residues(p, k)
+    index = [0] * m
+    for j, t in enumerate(residues):
+        index[t] = j
+    images = []
+    for j, t in enumerate(residues):
+        a = b = 0
+        for q in top:
+            a = a * t + q
+        for q in bottom:
+            b = b * t + q
+        if b == 0:
+            raise DivisionByZero("inverse of a value not certified nonzero")
+        while a and a % p == 0 and b % p == 0:
+            a //= p
+            b //= p
+        if a % p == 0 or b % p == 0:
+            raise NotPermutation(
+                "image of cell %d at level %d leaves the sphere" % (j, k))
+        images.append(index[unit_residue(a, b, m)])
+    return images
+
+
 def induced_cell_map(s: Sphere, f: RationalMap, k: int, guard: int = 8,
                      cap: int = DEFAULT_CELL_CAP) -> list:
     """Permutation that f induces on the level-k cells of s.
 
     images[j] is the index of the cell containing the image of cell j's
-    center, evaluated and located exactly.  Raises NotPermutation when
-    an image leaves the sphere or two cells collide, which refutes the
-    isometry assumption.  guard is accepted and unused.
+    center, computed exactly in integers: in sphere coordinates
+    x = c + p^-e t the image is A(t)/B(t) for integer polynomials A and
+    B, and for the center's digit sum t the image cell is the residue of
+    that unit modulo p^k.  Raises DivisionByZero where f has a pole at a
+    center, and NotPermutation when an image leaves the sphere or two
+    cells collide, which refutes the isometry assumption; every escape
+    and pole is reported, in cell order, before any collision.  guard is
+    accepted and unused.
     """
+    if k < 1:
+        raise InputError("cell level must be >= 1")
     count = cell_count(s.p, k)
     if count > cap:
         raise ResourceLimit("level %d needs %d cells, cap is %d" % (k, count, cap))
-    images = []
-    for j in range(count):
-        fx = eval_map(f, cell_center(s, k, j))
-        try:
-            images.append(locate_cell(s, k, fx).j)
-        except InputError as err:
-            raise NotPermutation(
-                "image of cell %d at level %d leaves the sphere" % (j, k)) from err
+    images = _cell_images(s, f, k)
     hit: dict = {}
     for j, im in enumerate(images):
         if im in hit:

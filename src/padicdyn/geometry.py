@@ -144,11 +144,12 @@ def contains(region: Ball | Sphere, x) -> bool:
 def canonical_ball(c, e: int, p: int | None = None) -> Ball:
     """V_{p^e}(c) in canonical form; idempotent.
 
-    Accepts a PAdic center (needs its window to reach position -e) or an
-    exact rational center with `p` given.
+    Accepts a PAdic center (needs its window to reach position -e; a
+    given `p` must be its prime) or an exact rational center with `p`
+    given.
     """
     if isinstance(c, PAdic):
-        p = c.p
+        p = c.p if p is None else p
     elif p is None:
         raise InputError("rational center requires p")
     q, end = _read(c, p)
@@ -182,6 +183,21 @@ def digits_index(p: int, t: tuple[int, ...]) -> int:
     return j
 
 
+def cell_residues(p: int, k: int) -> list[int]:
+    """Digit sums t_0 + t_1 p + ... + t_{k-1}p^{k-1} of the level-k cells, in cell order."""
+    out = list(range(1, p))
+    step = 1
+    for _ in range(k - 1):
+        step *= p
+        out = [t + d * step for t in out for d in range(p)]
+    return out
+
+
+def unit_residue(a: int, b: int, m: int) -> int:
+    """The residue of the p-adic unit a/b modulo m = p^k; p divides neither a nor b."""
+    return a * pow(b, -1, m) % m
+
+
 def cell_center(s: Sphere, k: int, j: int) -> Fraction:
     """Exact center s.center + p^{-e}(t_0 + t_1 p + ... + t_{k-1}p^{k-1})."""
     t = index_digits(s.p, k, j)
@@ -212,7 +228,8 @@ def sphere_cells(s: Sphere, k: int, cap: int = DEFAULT_CELL_CAP) -> list[Ball]:
 def locate_cell(s: Sphere, k: int, x) -> CellIndex:
     """The unique level-k cell containing x; inverse of sphere_cells order.
 
-    x is located exactly, by (x - center) p^e modulo p^k.
+    x is located exactly, by the residue of the unit (x - center) p^e
+    modulo p^k.
 
     Raises:
         NotOnSphere: certified |x - center| != p^e.
@@ -227,7 +244,13 @@ def locate_cell(s: Sphere, k: int, x) -> CellIndex:
         raise InsufficientPrecision(
             f"need {k} digits of x - center, have {end + s.e}"
         )
-    u = int(rational_truncate((q - s.center) * s.radius, s.p, k))
+    d = q - s.center
+    a, b = d.numerator, d.denominator
+    if s.e > 0:
+        b //= s.p ** s.e
+    else:
+        a //= s.p ** -s.e
+    u = unit_residue(a, b, s.p ** k)
     return CellIndex(k, digits_index(s.p, [u // s.p ** i % s.p for i in range(k)]))
 
 

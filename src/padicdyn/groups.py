@@ -12,7 +12,7 @@ operations), so groups keep a as given rather than canonicalized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
 
@@ -46,14 +46,12 @@ class BallGroup:
     p: int
     e: int
     a: Fraction
+    carrier: Ball = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_prime(self.p)
         object.__setattr__(self, "a", Fraction(self.a))
-
-    @property
-    def carrier(self) -> Ball:
-        return canonical_ball(self.a, self.e, p=self.p)
+        object.__setattr__(self, "carrier", canonical_ball(self.a, self.e, p=self.p))
 
     @property
     def kind(self) -> str:
@@ -88,14 +86,12 @@ class SphereGroup:
     p: int
     e: int
     a: Fraction
+    carrier: Sphere = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_prime(self.p)
         object.__setattr__(self, "a", Fraction(self.a))
-
-    @property
-    def carrier(self) -> Sphere:
-        return Sphere(self.p, self.e, self.a)
+        object.__setattr__(self, "carrier", Sphere(self.p, self.e, self.a))
 
     @property
     def kind(self) -> str:

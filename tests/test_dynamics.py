@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from padicdyn import dynamics, selftest
 from padicdyn.dynamics import (
@@ -20,6 +20,7 @@ from padicdyn.errors import (
     InputError,
     InvarianceFailed,
     NotPermutation,
+    PadicError,
     PrecisionError,
     ResourceLimit,
 )
@@ -423,3 +424,82 @@ def test_cell_map_reports_an_escape_before_a_collision():
     # x^2+x over Q_5: cells 0 and 2 share image cell 1, and cell 3 leaves
     with pytest.raises(NotPermutation, match="image of cell 3 at level 1 leaves the sphere"):
         induced_cell_map(unit_sphere(5), parse_map("x^2+x"), 1)
+
+
+def _fraction_cell_map(s, f, k):
+    """Reference cell map on exact rationals: f evaluated on each cell
+    center by eval_map, the image located by locate_cell; escapes are
+    reported in cell order, then collisions."""
+    images = []
+    for j in range(cell_count(s.p, k)):
+        fx = eval_map(f, cell_center(s, k, j))
+        try:
+            images.append(locate_cell(s, k, fx).j)
+        except InputError as err:
+            raise NotPermutation(
+                "image of cell %d at level %d leaves the sphere" % (j, k)) from err
+    hit = {}
+    for j, im in enumerate(images):
+        if im in hit:
+            raise NotPermutation(
+                "cells %d and %d at level %d share image cell %d" % (hit[im], j, k, im))
+        hit[im] = j
+    return images
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except PadicError as err:
+        return type(err), str(err)
+
+
+# u -> u/(1 - u) in sphere coordinates u = x - 1/3 on S_1(1/3) over Q_3:
+# the pole u = 1 is the center of cell 0 at every level
+_POLE = (Sphere(3, 0, Fraction(1, 3)),
+         make_map([Fraction(1, 9), Fraction(2, 3)], [Fraction(4, 3), -1]))
+
+
+@example(_POLE, 2)
+@given(sphere_maps(), st.integers(min_value=1, max_value=4))
+def test_integer_kernel_matches_the_fraction_cell_map(case, k):
+    s, f = case
+    assert _outcome(induced_cell_map, s, f, k) == _outcome(_fraction_cell_map, s, f, k)
+
+
+def test_integer_kernel_reports_a_pole_at_a_center():
+    s, f = _POLE
+    with pytest.raises(DivisionByZero, match="inverse of a value not certified nonzero"):
+        induced_cell_map(s, f, 1)
+
+
+def test_integer_kernel_on_a_deep_moebius_map():
+    # T/(6T+1) with T = 4(x - 2), moved onto S_4(2) over Q_2: an
+    # inversion-conjugate of T + 6, a single cycle at every level
+    s, f = Sphere(2, 2, 2), make_map([-96, 49], [-47, 24])
+    perm = induced_cell_map(s, f, 10)
+    assert perm == _fraction_cell_map(s, f, 10)
+    assert cycle_structure(perm, 10).lengths == (512,)
+
+
+def test_cell_map_accepts_guard_and_refuses_level_zero():
+    s, f = unit_sphere(2), parse_map("5x+2")
+    assert induced_cell_map(s, f, 6, guard=16) == induced_cell_map(s, f, 6)
+    with pytest.raises(InputError):
+        induced_cell_map(s, f, 0)
+
+
+def test_verdict_renders_no_displacement_profile(monkeypatch):
+    rendered = []
+    original = dynamics._witness
+
+    def recording(s, depth, x):
+        rendered.append(x)
+        return original(s, depth, x)
+
+    monkeypatch.setattr(dynamics, "_witness", recording)
+    v = ergodicity_verdict(Sphere(2, 0, 0), parse_map("x+2"), max_level=4, trials=40)
+    assert v.verdict == "ErgodicUpToLevel" and rendered == []
+    r = compute_rho(Sphere(2, 0, 0), parse_map("x+2"), trials=40)
+    assert len(r.profile) == len(rendered) == 40
+    assert all(isinstance(x, str) for x, _ in r.profile)

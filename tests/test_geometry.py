@@ -21,10 +21,12 @@ from padicdyn.geometry import (
     cell_ball,
     cell_center,
     cell_count,
+    cell_residues,
     clopen,
     contains,
     digits_index,
     embed,
+    index_digits,
     locate_cell,
     sphere_cells,
     subdivide,
@@ -68,6 +70,13 @@ def test_canonical_ball_needs_window():
     x = from_rational(7, 3, 2)
     with pytest.raises(InsufficientPrecision):
         canonical_ball(x, -5)
+
+
+def test_canonical_ball_refuses_a_center_of_another_prime():
+    x = from_rational(7, 3, 6)
+    with pytest.raises(InputError, match="mixed primes: 3 and 5"):
+        canonical_ball(x, -1, p=5)
+    assert canonical_ball(x, -1, p=3) == canonical_ball(x, -1)
 
 
 def test_sphere_cells_q3():
@@ -155,6 +164,14 @@ def test_locate_cell_identity_on_centers(s, k):
     for j in range(cell_count(s.p, k)):
         x = embed(cell_center(s, k, j), s.p, 30 - s.e)
         assert locate_cell(s, k, x) == CellIndex(k, j)
+
+
+@given(primes, st.integers(1, 4))
+def test_cell_residues_follow_the_index_order(p, k):
+    residues = cell_residues(p, k)
+    assert len(residues) == cell_count(p, k)
+    for j, t in enumerate(residues):
+        assert t == sum(d * p ** i for i, d in enumerate(index_digits(p, k, j)))
 
 
 @given(small_spheres(), st.integers(1, 2))
