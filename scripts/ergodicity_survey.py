@@ -4,12 +4,15 @@
 For each prime p the survey runs the verdict pipeline on the unit
 sphere S_1(0) for translations, unit scalings, reflections, and a few
 maps that fail the isometry or constant-displacement assumptions, then
-prints one row per (p, map).
+prints one row per (p, map).  A map whose verdict would need more
+cells than the cell cap allows gets the `ResourceLimit` message as its
+row.
 """
 
 import argparse
 
 from padicdyn import Sphere, ergodicity_verdict, parse_map
+from padicdyn.errors import ResourceLimit
 
 
 def maps_for(p: int) -> list:
@@ -54,9 +57,12 @@ def main() -> None:
         s = Sphere(p, 0, 0)
         print("== S_1(0) over Q_%d ==" % p)
         for text in maps_for(p):
-            v = ergodicity_verdict(s, parse_map(text), max_level=args.levels,
-                                   trials=args.trials, seed=args.seed)
-            print("  %-*s  %s" % (width, text, describe(v)))
+            try:
+                row = describe(ergodicity_verdict(s, parse_map(text), max_level=args.levels,
+                                                  trials=args.trials, seed=args.seed))
+            except ResourceLimit as err:
+                row = "ResourceLimit: %s" % err
+            print("  %-*s  %s" % (width, text, row))
         print()
 
 

@@ -13,10 +13,10 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from . import dynamics
+from . import dynamics, selftest
 from .errors import (
     DivisionByZero,
     InputError,
@@ -29,7 +29,6 @@ from .groups import BallGroup, SphereGroup, check_group_axioms, iso
 from .mapdsl import parse_map
 from .measure import haar_clopen, normalized_measure
 from .padic import DEFAULT_PRECISION, PAdic, parse, parse_rational
-from .selftest import run_all
 
 PREC_ENV = "PADICDYN_PREC"
 DEFAULT_SEED = 0
@@ -264,7 +263,13 @@ def cmd_dyn(ns) -> int:
 
 
 def cmd_selftest(ns) -> int:
-    return 0 if run_all() else 1
+    if not ns.json:
+        return 0 if selftest.run_all(lambda res: print(res.line)) else 1
+    results = []
+    passed = selftest.run_all(results.append)
+    print(json.dumps({"criteria": [asdict(r) for r in results], "passed": passed},
+                     sort_keys=True))
+    return 0 if passed else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -33,7 +33,6 @@ from .geometry import (
     Ball,
     Sphere,
     canonical_ball,
-    cell_center,
     cell_count,
     cell_residues,
     clopen,
@@ -137,7 +136,8 @@ def _coverage(s: Sphere, cap: int = 64) -> list:
     sampling takes over.
     """
     levels = [k for k in range(1, 5) if cell_count(s.p, k) <= cap]
-    return [cell_center(s, k, j) for k in levels for j in range(cell_count(s.p, k))]
+    step = Fraction(s.p) ** (-s.e)
+    return [s.center + step * t for k in levels for t in cell_residues(s.p, k)]
 
 
 def _survey(s: Sphere, trials: int, seed: int, depth: int):

@@ -222,7 +222,8 @@ def sphere_cells(s: Sphere, k: int, cap: int = DEFAULT_CELL_CAP) -> list[Ball]:
     count = cell_count(s.p, k)
     if count > cap:
         raise ResourceLimit(f"{count} cells at level {k} exceed cap {cap}")
-    return [cell_ball(s, k, j) for j in range(count)]
+    step = Fraction(s.p) ** (-s.e)
+    return [canonical_ball(s.center + step * t, s.e - k, p=s.p) for t in cell_residues(s.p, k)]
 
 
 def locate_cell(s: Sphere, k: int, x) -> CellIndex:

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
+from typing import ClassVar
 
 from .errors import InputError, InsufficientPrecision, KindMismatch, NotInCarrier, PadicError
 from .geometry import Ball, Sphere, canonical_ball, contains, embed
@@ -42,27 +43,38 @@ def draw(g: Group, rng: Random, depth: int = SAMPLE_DEPTH) -> Fraction:
 
 
 @dataclass(frozen=True, slots=True)
-class BallGroup:
+class _CarriedGroup:
+    """A group law of Z_p (ball) or of the units Z_p^x (sphere), carried
+    over to the carrier by t -> a + p^-e t.  The identity is the image of
+    the neutral element _neutral (0 or 1)."""
+
     p: int
     e: int
     a: Fraction
-    carrier: Ball = field(init=False, repr=False, compare=False)
+    carrier: Ball | Sphere = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_prime(self.p)
         object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "carrier", canonical_ball(self.a, self.e, p=self.p))
-
-    @property
-    def kind(self) -> str:
-        return "ball"
+        object.__setattr__(self, "carrier", self._carrier())
 
     def _check_member(self, x: PAdic):
         if not contains(self.carrier, x):
-            raise NotInCarrier(f"{x} is not in {self.carrier}")
+            raise NotInCarrier(f"{x} is not {self._where} {self.carrier}")
 
     def identity(self) -> PAdic:
-        return embed(self.a, self.p, -self.e + SAMPLE_DEPTH)
+        return embed(self.a + Fraction(self.p) ** (-self.e) * self._neutral,
+                     self.p, -self.e + SAMPLE_DEPTH)
+
+
+@dataclass(frozen=True, slots=True)
+class BallGroup(_CarriedGroup):
+    kind: ClassVar[str] = "ball"
+    _where: ClassVar[str] = "in"
+    _neutral: ClassVar[int] = 0
+
+    def _carrier(self) -> Ball:
+        return canonical_ball(self.a, self.e, p=self.p)
 
     def combine(self, x: PAdic, y: PAdic) -> PAdic:
         """x + y - a.  Closure is forced by the strong triangle inequality."""
@@ -82,27 +94,13 @@ class BallGroup:
 
 
 @dataclass(frozen=True, slots=True)
-class SphereGroup:
-    p: int
-    e: int
-    a: Fraction
-    carrier: Sphere = field(init=False, repr=False, compare=False)
+class SphereGroup(_CarriedGroup):
+    kind: ClassVar[str] = "sphere"
+    _where: ClassVar[str] = "on"
+    _neutral: ClassVar[int] = 1
 
-    def __post_init__(self):
-        check_prime(self.p)
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "carrier", Sphere(self.p, self.e, self.a))
-
-    @property
-    def kind(self) -> str:
-        return "sphere"
-
-    def _check_member(self, x: PAdic):
-        if not contains(self.carrier, x):
-            raise NotInCarrier(f"{x} is not on {self.carrier}")
-
-    def identity(self) -> PAdic:
-        return embed(Fraction(self.p) ** (-self.e) + self.a, self.p, -self.e + SAMPLE_DEPTH)
+    def _carrier(self) -> Sphere:
+        return Sphere(self.p, self.e, self.a)
 
     def combine(self, x: PAdic, y: PAdic) -> PAdic:
         """r(x - a)(y - a) + a; multiplication by r is an exact shift."""
@@ -182,25 +180,9 @@ class LawReport:
         }
 
 
-def _safe_render(x) -> str | None:
-    if x is None:
-        return None
-    if isinstance(x, PAdic):
-        try:
-            return x.render()
-        except PadicError:
-            return str(x)
-    return str(x)
-
-
 def _failure(x, y, z, lhs, rhs) -> dict:
-    return {
-        "x": _safe_render(x),
-        "y": _safe_render(y),
-        "z": _safe_render(z),
-        "lhs": _safe_render(lhs),
-        "rhs": _safe_render(rhs),
-    }
+    return {k: None if v is None else str(v)
+            for k, v in zip(("x", "y", "z", "lhs", "rhs"), (x, y, z, lhs, rhs))}
 
 
 def check_group_axioms(g: Group, trials: int = 1000, seed: int = 0) -> list[LawReport]:

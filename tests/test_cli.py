@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from padicdyn import cli
+from padicdyn import cli, selftest
 from padicdyn.errors import NotPermutation
 
 
@@ -169,6 +169,26 @@ def test_selftest_exits_zero(capsys):
     lines = [ln for ln in out.splitlines() if ln]
     assert len(lines) == 9
     assert all(ln.startswith("PASS") for ln in lines)
+
+
+def test_selftest_json_reports_each_criterion(capsys, monkeypatch):
+    results = [selftest.CriterionResult(1, "one", True, "fine", 0.25),
+               selftest.CriterionResult(2, "two", False, "broken", 0.5)]
+    monkeypatch.setattr(selftest, "CRITERIA", [lambda r=r: r for r in results])
+    code, out, err = run(capsys, "selftest", "--json")
+    assert (code, err) == (1, "")
+    payload = json.loads(out)
+    assert out == json.dumps(payload, sort_keys=True) + "\n"
+    assert payload == {"passed": False, "criteria": [
+        {"number": 1, "title": "one", "passed": True, "detail": "fine", "seconds": 0.25},
+        {"number": 2, "title": "two", "passed": False, "detail": "broken", "seconds": 0.5},
+    ]}
+    code, out, _ = run(capsys, "selftest")
+    assert (code, out) == (1, "PASS criterion 1 (one): fine [0.25s]\n"
+                              "FAIL criterion 2 (two): broken [0.50s]\n")
+    monkeypatch.setattr(selftest, "CRITERIA", [lambda: results[0]])
+    code, out, _ = run(capsys, "selftest", "--json")
+    assert code == 0 and json.loads(out)["passed"] is True
 
 
 def test_nonpositive_trials_and_negative_iters_are_input_errors(capsys):

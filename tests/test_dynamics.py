@@ -418,6 +418,17 @@ def test_residue_oracle_reduces_rational_coefficients():
         selftest._residue_cell_map(2, 2, g.num, g.den)
 
 
+def test_minimal_ball_criterion_reads_every_cell(monkeypatch):
+    real = selftest.criterion_minimal_ball()
+    assert real.passed and real.detail == (
+        "V[2^-2](1) fixed at level 2, no fixed level-3 cell")
+    # x+4 on S_1(0) over Q_2: the level-2 map is the identity and no level-3
+    # cell is fixed; a map that fixes only cell 1 at level 3 must be caught
+    for maps in ({2: [0, 1], 3: [2, 1, 3, 0]}, {2: [1, 0], 3: [1, 2, 3, 0]}):
+        monkeypatch.setattr(selftest, "induced_cell_map", lambda s, f, k, m=maps: m[k])
+        assert not selftest.criterion_minimal_ball().passed, maps
+
+
 def test_cell_map_reports_an_escape_before_a_collision():
     with pytest.raises(NotPermutation, match="cells 0 and 1 at level 1 share image cell 0"):
         induced_cell_map(unit_sphere(3), parse_map("x^2"), 1)

@@ -1,20 +1,24 @@
 from fractions import Fraction
 from random import Random
 
-import pytest
-from hypothesis import given, strategies as st
+from dataclasses import dataclass, field
 
-from padicdyn.errors import InsufficientPrecision, KindMismatch, NotInCarrier
-from padicdyn.geometry import contains
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from padicdyn.errors import InputError, InsufficientPrecision, KindMismatch, NotInCarrier
+from padicdyn.geometry import Ball, Sphere, canonical_ball, contains, embed
 from padicdyn.groups import (
     SAMPLE_DEPTH,
     BallGroup,
     SphereGroup,
+    _window_end,
     certified_equal,
     check_group_axioms,
+    draw,
     iso,
 )
-from padicdyn.padic import PAdic, equal_mod, from_rational
+from padicdyn.padic import PAdic, check_prime, equal_mod, from_rational
 
 
 def emb(q, p, n=32):
@@ -201,3 +205,161 @@ def test_axiom_check_draws_each_triple_once(monkeypatch):
     assert bad["commutativity"].passed and bad["commutativity"].trials == 40
     assert bad["associativity"].trials < 40 and bad["identity"].trials < 40
     assert len(draws) == 3 * 40
+
+
+# Reference for the shared group skeleton: the two group classes and the
+# isomorphism as they stood when each class carried its own copy of the
+# fields, the carrier set-up, the member check and the identity.
+
+@dataclass(frozen=True, slots=True)
+class RefBallGroup:
+    p: int
+    e: int
+    a: Fraction
+    carrier: Ball = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        check_prime(self.p)
+        object.__setattr__(self, "a", Fraction(self.a))
+        object.__setattr__(self, "carrier", canonical_ball(self.a, self.e, p=self.p))
+
+    @property
+    def kind(self) -> str:
+        return "ball"
+
+    def _check_member(self, x):
+        if not contains(self.carrier, x):
+            raise NotInCarrier(f"{x} is not in {self.carrier}")
+
+    def identity(self):
+        return embed(self.a, self.p, -self.e + SAMPLE_DEPTH)
+
+    def combine(self, x, y):
+        self._check_member(x)
+        self._check_member(y)
+        a = embed(self.a, self.p, _window_end(x, y))
+        return x + y - a
+
+    def inverse(self, x):
+        self._check_member(x)
+        a = embed(2 * self.a, self.p, _window_end(x))
+        return a - x
+
+    def sample(self, rng, depth=SAMPLE_DEPTH):
+        return embed(draw(self, rng, depth), self.p, -self.e + depth)
+
+
+@dataclass(frozen=True, slots=True)
+class RefSphereGroup:
+    p: int
+    e: int
+    a: Fraction
+    carrier: Sphere = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        check_prime(self.p)
+        object.__setattr__(self, "a", Fraction(self.a))
+        object.__setattr__(self, "carrier", Sphere(self.p, self.e, self.a))
+
+    @property
+    def kind(self) -> str:
+        return "sphere"
+
+    def _check_member(self, x):
+        if not contains(self.carrier, x):
+            raise NotInCarrier(f"{x} is not on {self.carrier}")
+
+    def identity(self):
+        return embed(Fraction(self.p) ** (-self.e) + self.a, self.p, -self.e + SAMPLE_DEPTH)
+
+    def combine(self, x, y):
+        self._check_member(x)
+        self._check_member(y)
+        a = embed(self.a, self.p, _window_end(x, y))
+        prod = ((x - a) * (y - a)).shift(self.e)
+        return prod + embed(self.a, self.p, _window_end(prod))
+
+    def inverse(self, x):
+        self._check_member(x)
+        a = embed(self.a, self.p, _window_end(x))
+        w = (x - a).inv().shift(-2 * self.e)
+        return w + embed(self.a, self.p, _window_end(w))
+
+    def sample(self, rng, depth=SAMPLE_DEPTH):
+        return embed(draw(self, rng, depth), self.p, -self.e + depth)
+
+
+def ref_iso(src, dst, x):
+    if src.kind != dst.kind:
+        raise KindMismatch(f"no isomorphism {src.kind} -> {dst.kind}")
+    if src.p != dst.p:
+        raise InputError(f"mixed primes: {src.p} and {dst.p}")
+    src._check_member(x)
+    a1 = embed(src.a, src.p, _window_end(x))
+    shifted = (x - a1).shift(src.e - dst.e)
+    return shifted + embed(dst.a, dst.p, _window_end(shifted))
+
+
+def outcome(fn, *args):
+    """The value, or the exception class and message, of fn(*args)."""
+    try:
+        return "value", fn(*args)
+    except Exception as err:  # every exception is part of the compared behaviour
+        return type(err).__name__, str(err)
+
+
+PAIRS = {BallGroup: RefBallGroup, SphereGroup: RefSphereGroup}
+
+
+@st.composite
+def carriers(draw_, p):
+    e = draw_(st.integers(-3, 3))
+    den = draw_(st.sampled_from([1, 2, 3, p, p ** 2, 3 * p ** 3]))
+    return draw_(st.sampled_from([BallGroup, SphereGroup])), e, Fraction(
+        draw_(st.integers(-50, 50)), den)
+
+
+@st.composite
+def operand(draw_, p, e, a):
+    kind = draw_(st.sampled_from(["sample", "truncated", "zero", "flagged", "rational",
+                                  "prime"]))
+    if kind == "zero":
+        return PAdic.zero(p)
+    if kind == "flagged":
+        return PAdic.flagged_zero(p, draw_(st.integers(-5, 6)))
+    if kind == "prime":
+        return from_rational(draw_(st.integers(1, 20)), 11 if p != 11 else 13, 8)
+    if kind == "rational":
+        q = Fraction(draw_(st.integers(-99, 99)), draw_(st.sampled_from([1, p, p ** 3, 7])))
+    else:
+        g = draw_(st.sampled_from([RefBallGroup, RefSphereGroup]))(p, e, a)
+        q = draw(g, Random(draw_(st.integers(0, 2 ** 16))), draw_(st.integers(1, 12)))
+    if q == 0:
+        return PAdic.zero(p)
+    n = SAMPLE_DEPTH if kind == "sample" else draw_(st.integers(1, 9))
+    return from_rational(q, p, n)
+
+
+@settings(max_examples=150)
+@given(st.sampled_from([2, 3, 5, 7]), st.data())
+def test_group_skeleton_matches_the_reference(p, data):
+    cls, e, a = data.draw(carriers(p))
+    q = data.draw(st.sampled_from([p, p, p, 2, 3]))
+    other, e2, a2 = data.draw(carriers(q))
+    g, ref = cls(p, e, a), PAIRS[cls](p, e, a)
+    h, ref_h = other(q, e2, a2), PAIRS[other](q, e2, a2)
+    assert repr(ref) == "Ref" + repr(g)
+    assert (g.kind, g.carrier, hash(g)) == (ref.kind, ref.carrier, hash(ref))
+    twin = other(p, e, a)
+    assert (g == h, g != h, g == cls(p, e, a), g == twin) == (
+        ref == ref_h, ref != ref_h, ref == PAIRS[cls](p, e, a), ref == PAIRS[other](p, e, a))
+    assert g.identity() == ref.identity()
+    seed, depth = data.draw(st.integers(0, 2 ** 16)), data.draw(st.integers(1, 40))
+    assert g.sample(Random(seed), depth) == ref.sample(Random(seed), depth)
+    xs = [data.draw(operand(p, e, a)) for _ in range(5)] + [g.identity()]
+    for x in xs:
+        assert outcome(g.inverse, x) == outcome(ref.inverse, x)
+        assert outcome(iso, g, h, x) == outcome(ref_iso, ref, ref_h, x)
+        assert outcome(iso, h, g, x) == outcome(ref_iso, ref_h, ref, x)
+        for y in xs:
+            assert outcome(g.combine, x, y) == outcome(ref.combine, x, y)

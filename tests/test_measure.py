@@ -4,6 +4,7 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
+from padicdyn import measure
 from padicdyn.errors import NotInCarrier, OverlapDetected
 from padicdyn.geometry import (
     ClopenSet,
@@ -135,3 +136,65 @@ def test_additivity_and_monotonicity(p, e, k, data):
 def test_refinement_preserves_measure(p, e, c):
     b = canonical_ball(Fraction(c), e, p=p)
     assert sum(haar(kid) for kid in subdivide(b)) == haar(b)
+
+
+def test_each_measurement_verifies_each_set_once(monkeypatch):
+    verified = []
+    real_clopen = measure.clopen
+
+    def counted(parent, balls):
+        verified.append(parent)
+        return real_clopen(parent, balls)
+
+    def refuse(a):
+        raise AssertionError("a measurement merged siblings")
+
+    monkeypatch.setattr(measure, "clopen", counted)
+    monkeypatch.setattr(measure, "normalize_clopen", refuse)
+    s = Sphere(3, 1, Fraction(0))
+    b = canonical_ball(Fraction(1, 3), -1, p=3)
+    kids = subdivide(b)
+    a = ClopenSet(s, tuple(kids[1:] + subdivide(kids[0])))
+    assert haar_clopen(a) == haar(b) and len(verified) == 1
+    verified.clear()
+    g = SphereGroup(3, 1, Fraction(0))
+    rep = invariance_check(g, g.sample(Random(4)), a)
+    assert rep.preserved and rep.before == rep.after == haar(b)
+    assert len(verified) == 2
+
+
+def _merged_measure(a):
+    # the measure as the sum over the canonical form, siblings merged first
+    return sum((haar(b) for b in normalize_clopen(a).balls), Fraction(0))
+
+
+def _outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except Exception as err:  # the exception is part of the compared behaviour
+        return type(err).__name__, str(err)
+
+
+@given(primes, st.integers(-2, 2), st.integers(0, 4), st.data())
+def test_measure_by_sum_matches_the_merged_sum(p, e, c, data):
+    g = data.draw(st.sampled_from([BallGroup, SphereGroup]))(p, e, Fraction(c, p))
+    pool = []
+    for b in (subdivide(g.carrier) if g.kind == "ball" else sphere_cells(g.carrier, 1)):
+        kids = subdivide(b)
+        pool += [b] + kids + subdivide(kids[0])
+    pool.append(canonical_ball(Fraction(c + 1, p ** 3), e + 1, p=p))
+    chosen = data.draw(st.lists(st.sampled_from(pool), max_size=8))
+    a = ClopenSet(g.carrier, tuple(chosen))
+    want = _outcome(_merged_measure, a)
+    assert _outcome(haar_clopen, a) == want
+    if want[0] != "value":
+        return
+    x = g.sample(Random(data.draw(st.integers(0, 2 ** 16))))
+    rep = invariance_check(g, x, a)
+    assert rep.preserved and rep.before == rep.after == want[1]
+    assert _merged_measure(rep.translated) == want[1]
+    if g.kind == "sphere":
+        assert normalized_measure(g.carrier, a) == want[1] / haar_sphere(g.carrier)
+    outside = g.a + (Fraction(p) ** -(e + 1) if g.kind == "ball" else 0)
+    with pytest.raises(NotInCarrier):
+        invariance_check(g, outside, a)
