@@ -6,6 +6,7 @@ from .dynamics import (
     IsometryCheck,
     OrbitRecord,
     RhoResult,
+    certify_isometry,
     compute_rho,
     cycle_structure,
     derivative_norm,
@@ -60,7 +61,7 @@ __all__ = [
     "translate_clopen", "invariance_check",
     "RationalMap", "parse_map", "make_map", "render_map", "eval_map",
     "IsometryCheck", "RhoResult", "OrbitRecord", "CycleStructure",
-    "ErgodicityVerdict", "verify_isometry", "compute_rho",
+    "ErgodicityVerdict", "certify_isometry", "verify_isometry", "compute_rho",
     "minimal_invariant_ball", "orbit", "derivative_norm", "induced_cell_map",
     "cycle_structure", "ergodicity_verdict",
 ]

@@ -335,7 +335,9 @@ def build_parser() -> argparse.ArgumentParser:
     dyn.add_argument("--start", default=None, help="orbit start point (rational or literal)")
     dyn.add_argument("--iters", type=int, default=10)
     dyn.add_argument("--levels", type=int, default=8)
-    dyn.add_argument("--trials", type=int, default=200)
+    dyn.add_argument("--trials", type=int, default=200,
+                     help="sampled point pairs of verify and rho; ergodic samples "
+                          "them only when its exact certificate does not decide")
     common(dyn, seed=True)
     dyn.set_defaults(fn=cmd_dyn)
 

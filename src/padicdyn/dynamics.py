@@ -140,13 +140,17 @@ def _coverage(s: Sphere, cap: int = 64) -> list:
     return [s.center + step * t for k in levels for t in cell_residues(s.p, k)]
 
 
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise InputError("trials must be at least 1, got %d" % trials)
+
+
 def _survey(s: Sphere, trials: int, seed: int, depth: int):
     """The sampled (x, y) pairs, exact rationals: x runs through the
     coverage pool, then Haar samples of depth digits; y is a Haar sample.
     Both draw from one Random(seed).
     """
-    if trials < 1:
-        raise InputError("trials must be at least 1, got %d" % trials)
+    _check_trials(trials)
     g = SphereGroup(s.p, s.e, s.center)
     rng = Random(seed)
     pool = _coverage(s)
@@ -239,13 +243,15 @@ def derivative_norm(f: RationalMap, x: PAdic, h_exp: int) -> int:
 
 
 def orbit(f: RationalMap, x0: PAdic, n: int) -> OrbitRecord:
-    """First n iterates of f from x0 with certified period detection.
+    """First n iterates of f from x0, with period detection in the window.
 
     displacement_exps[i] is the exponent a with
     |points[i+1] - points[i]| = p^a, or None when the difference is
-    flagged zero.  A revisited residue class is certified against the
-    stored point before period/offset are reported; iteration stops at
-    the first certified repeat.
+    flagged zero.  A revisited residue class is compared with the stored
+    point in the working window, and iteration stops at the first point
+    that agrees with an earlier one there, which sets period/offset.  A
+    repeat inside the window is not a certified period: x + 2^40 from 1
+    reports period 1.
     """
     if n < 0:
         raise InputError("number of iterates must be at least 0, got %d" % n)
@@ -301,6 +307,102 @@ def _sphere_coordinates(s: Sphere, f: RationalMap) -> tuple:
     lcm = math.lcm(*(q.denominator for q in top + den))
     return ([q.numerator * (lcm // q.denominator) for q in reversed(top)],
             [q.numerator * (lcm // q.denominator) for q in reversed(den)])
+
+
+# Deepest residue class t0 + p^j Z_p the displacement certificate reads
+# before it leaves the decision to sampling.
+_DESCENT_DEPTH = DEFAULT_PRECISION
+
+
+def _horner(coeffs: list, t: int) -> int:
+    out = 0
+    for q in coeffs:
+        out = out * t + q
+    return out
+
+
+def _derivative(coeffs: list) -> list:
+    """P' for P given highest degree first, in the same order."""
+    return [q * i for i, q in zip(range(len(coeffs) - 1, 0, -1), coeffs)]
+
+
+def _good_reduction(s: Sphere, f: RationalMap) -> tuple | None:
+    """A, B of _sphere_coordinates with their common p-content divided out,
+    when B(t) is a unit at every unit residue t mod p; None otherwise.
+
+    Under good reduction f has no pole on s and A(t)/B(t) is p-integral
+    at every unit t.
+    """
+    p = s.p
+    top, bottom = _sphere_coordinates(s, f)
+    while all(q % p == 0 for q in top + bottom):
+        top, bottom = [q // p for q in top], [q // p for q in bottom]
+    if any(_horner(bottom, t) % p == 0 for t in range(1, p)):
+        return None
+    return top, bottom
+
+
+def certify_isometry(s: Sphere, f: RationalMap) -> bool | None:
+    """Exact decision whether f is an isometry of s, for maps with good reduction.
+
+    In sphere coordinates g(t) = A(t)/B(t), with B a unit on the units, g
+    is an isometry of the units exactly when at every unit residue t mod
+    p: A(t) is a unit, t -> A(t)/B(t) is a bijection, and A'B - AB' is a
+    unit.  That is Hensel's lemma: g(x) - g(y) = (x - y) Q with
+    Q = g'(y) mod (x - y).  Returns None without good reduction, where
+    the sampled verify_isometry is the check.
+    """
+    coords = _good_reduction(s, f)
+    if coords is None:
+        return None
+    p, (top, bottom) = s.p, coords
+    d_top, d_bottom = _derivative(top), _derivative(bottom)
+    images = set()
+    for t in range(1, p):
+        a, b = _horner(top, t), _horner(bottom, t)
+        if a % p == 0 or (_horner(d_top, t) * b - a * _horner(d_bottom, t)) % p == 0:
+            return False
+        images.add(unit_residue(a, b, p))
+    return len(images) == p - 1
+
+
+def _unit_valuation(h: list, p: int) -> int | None:
+    """The v with v_p(h(t)) = v at every unit t, or None; h is ascending.
+
+    Descends residue classes t0 + p^j Z_p.  A class is settled when the
+    constant term of h(t0 + p^j u) has strictly the lowest valuation,
+    which is then v_p(h) on the whole class.  None when two settled
+    classes differ, at an exact unit root (a fixed point), and below
+    _DESCENT_DEPTH.
+    """
+    value = None
+    classes = [(t, 1) for t in range(1, p)]
+    while classes:
+        t0, j = classes.pop()
+        shifted = _shift_poly(h, t0, p ** j)
+        if shifted[0] == 0 or j > _DESCENT_DEPTH:
+            return None
+        v = rational_valuation(shifted[0], p)
+        if any(q % p ** (v + 1) for q in shifted[1:]):
+            classes.extend((t0 + d * p ** j, j + 1) for d in range(p))
+        elif value is None:
+            value = v
+        elif v != value:
+            return None
+    return value
+
+
+def _certified_rho(s: Sphere, f: RationalMap) -> int | None:
+    """The rho with |f(x) - x| = p^rho at every x of s, decided exactly for
+    a map with good reduction; None when the displacement is not shown
+    constant that way.
+
+    |f(x) - x| = p^e |h(t)| with h = A - tB, since B(t) is a unit.
+    """
+    top, bottom = _good_reduction(s, f)
+    h = [a - b for a, b in zip_longest(top[::-1], [0, *bottom[::-1]], fillvalue=0)]
+    v = _unit_valuation(h, s.p)
+    return None if v is None else s.e - v
 
 
 def _cell_images(s: Sphere, f: RationalMap, k: int) -> list:
@@ -429,9 +531,14 @@ def ergodicity_verdict(s: Sphere, f: RationalMap, max_level: int = 8,
                        trials: int = 200, seed: int = 0) -> ErgodicityVerdict:
     """Decide ergodicity of f on s up to the level-max_level partition.
 
-    Pipeline: sampled isometry check, displacement survey, exact
-    measure criterion, then cycle structure of the induced permutation
-    at each level.  Every stage works on exact rationals.
+    Pipeline: isometry and constant displacement, then the exact measure
+    criterion, then the cycle structure of the induced permutation at
+    each level.  Stages 1-2 are certified exactly when f has good
+    reduction on s (certify_isometry) and the descent fixes the
+    displacement; otherwise, and for every refutation, fixed point or
+    non-constant displacement, the sampled verify_isometry and its
+    displacement survey decide, and give the witness.  trials and seed
+    steer only that sampling.  Every stage works on exact rationals.
     """
     if max_level < 1:
         raise InputError("max_level must be at least 1")
@@ -439,15 +546,18 @@ def ergodicity_verdict(s: Sphere, f: RationalMap, max_level: int = 8,
     if top > DEFAULT_CELL_CAP:
         raise ResourceLimit(
             "level %d needs %d cells, cap is %d" % (max_level, top, DEFAULT_CELL_CAP))
-    iso = verify_isometry(s, f, trials=trials, seed=seed)
-    if not iso.passed:
-        return ErgodicityVerdict("NotIsometry", s.p, reason="IsometryFailed",
-                                 witness=iso.witness)
-    rho = _displacements(s, iso.images, DEFAULT_PRECISION)
-    if rho.kind != "Constant":
-        return ErgodicityVerdict("AssumptionViolated", s.p, reason=rho.kind,
-                                 witness=rho.witness)
-    rho_exp = rho.rho_exp
+    _check_trials(trials)
+    rho_exp = _certified_rho(s, f) if certify_isometry(s, f) else None
+    if rho_exp is None:
+        iso = verify_isometry(s, f, trials=trials, seed=seed)
+        if not iso.passed:
+            return ErgodicityVerdict("NotIsometry", s.p, reason="IsometryFailed",
+                                     witness=iso.witness)
+        rho = _displacements(s, iso.images, DEFAULT_PRECISION)
+        if rho.kind != "Constant":
+            return ErgodicityVerdict("AssumptionViolated", s.p, reason=rho.kind,
+                                     witness=rho.witness)
+        rho_exp = rho.rho_exp
     flat = rho_exp == s.e
     criterion = Fraction(s.p) ** (1 + rho_exp - s.e) / (s.p - 1)
     if criterion != 1:

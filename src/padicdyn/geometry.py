@@ -205,10 +205,6 @@ def cell_center(s: Sphere, k: int, j: int) -> Fraction:
     return s.center + Fraction(s.p) ** (-s.e) * tv
 
 
-def cell_ball(s: Sphere, k: int, j: int) -> Ball:
-    return canonical_ball(cell_center(s, k, j), s.e - k, p=s.p)
-
-
 def sphere_cells(s: Sphere, k: int, cap: int = DEFAULT_CELL_CAP) -> list[Ball]:
     """The (p-1)p^{k-1} disjoint radius-p^{e-k} balls tiling the sphere.
 

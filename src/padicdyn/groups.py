@@ -32,13 +32,27 @@ def _window_end(*values: PAdic) -> int | None:
 def draw(g: Group, rng: Random, depth: int = SAMPLE_DEPTH) -> Fraction:
     """The exact carrier point a + p^-e (t_0 + t_1 p + ... + t_{depth-1} p^{depth-1})
     with Haar-random digits, drawn from rng in order t_0, t_1, ...; on a
-    sphere t_0 is nonzero."""
+    sphere t_0 is nonzero.
+
+    Each digit is drawn as rng.randrange(lo, p) draws it, lo plus a
+    getrandbits rejection loop below p - lo, so the stream is the same.
+    """
     p = g.p
-    tv = rng.randrange(1 if g.kind == "sphere" else 0, p)
+    bits = rng.getrandbits
+    lo = 1 if g.kind == "sphere" else 0
+    width = (p - lo).bit_length()
+    tv = bits(width)
+    while tv >= p - lo:
+        tv = bits(width)
+    tv += lo
+    width = p.bit_length()
     scale = 1
     for _ in range(depth - 1):
         scale *= p
-        tv += rng.randrange(p) * scale
+        t = bits(width)
+        while t >= p:
+            t = bits(width)
+        tv += t * scale
     return g.a + Fraction(p) ** (-g.e) * tv
 
 

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import example, given, strategies as st
 from padicdyn import dynamics, selftest
 from padicdyn.dynamics import (
     CycleStructure,
+    certify_isometry,
     compute_rho,
     cycle_structure,
     derivative_norm,
@@ -305,6 +307,9 @@ def test_verdict_evaluates_each_sampled_point_once(monkeypatch):
         return original(f, x)
 
     monkeypatch.setattr(dynamics, "eval_map", counting)
+    # x+4 is certified exactly; take the sampled path, which the
+    # certificate leaves to maps it does not decide
+    monkeypatch.setattr(dynamics, "certify_isometry", lambda s, f: None)
     v = ergodicity_verdict(Sphere(2, 0, 0), parse_map("x+4"), trials=40)
     assert (v.reason, v.level) == ("MeasureCriterion", None)
     # 40 trials of an (x, y) pair; the displacement survey reuses f(x)
@@ -514,3 +519,201 @@ def test_verdict_renders_no_displacement_profile(monkeypatch):
     r = compute_rho(Sphere(2, 0, 0), parse_map("x+2"), trials=40)
     assert len(r.profile) == len(rendered) == 40
     assert all(isinstance(x, str) for x, _ in r.profile)
+
+
+def _sampled_verdict(s, f, max_level, trials=200, seed=0):
+    """Reference verdict with sampled stages 1-2: verify_isometry's exact
+    pairs decide the isometry, and the displacement is read from f(x) on
+    the same pairs; the measure criterion and the cell levels follow."""
+    if max_level < 1:
+        raise InputError("max_level must be at least 1")
+    top = cell_count(s.p, max_level)
+    if top > 10 ** 6:
+        raise ResourceLimit("level %d needs %d cells, cap is %d" % (max_level, top, 10 ** 6))
+    iso = verify_isometry(s, f, trials=trials, seed=seed)
+    if not iso.passed:
+        return dynamics.ErgodicityVerdict("NotIsometry", s.p, reason="IsometryFailed",
+                                          witness=iso.witness)
+    rho = dynamics._displacements(s, iso.images, 32)
+    if rho.kind != "Constant":
+        return dynamics.ErgodicityVerdict("AssumptionViolated", s.p, reason=rho.kind,
+                                          witness=rho.witness)
+    flat = rho.rho_exp == s.e
+    criterion = Fraction(s.p) ** (1 + rho.rho_exp - s.e) / (s.p - 1)
+    if criterion != 1:
+        return dynamics.ErgodicityVerdict("NotErgodic", s.p, reason="MeasureCriterion",
+                                          rho_exp=rho.rho_exp, criterion=criterion,
+                                          rho_equals_radius=flat)
+    for k in range(1, max_level + 1):
+        perm = induced_cell_map(s, f, k)
+        cs = cycle_structure(perm, k)
+        if len(cs.cycles) >= 2:
+            mu = dynamics._cycle_invariant_measure(s, cs, perm)
+            return dynamics.ErgodicityVerdict(
+                "NotErgodic", s.p, reason="CycleSplit", rho_exp=rho.rho_exp,
+                criterion=criterion, level=k, cycles=cs, rho_equals_radius=flat,
+                invariant_measure=mu)
+    return dynamics.ErgodicityVerdict("ErgodicUpToLevel", s.p, rho_exp=rho.rho_exp,
+                                      criterion=criterion, level=max_level,
+                                      rho_equals_radius=flat)
+
+
+def _verdict_outcome(fn, *args, **kw):
+    try:
+        v = fn(*args, **kw)
+    except PadicError as err:
+        return type(err), str(err)
+    return v.as_dict(), v.invariant_measure, v.rho_equals_radius
+
+
+@st.composite
+def polynomial_maps(draw):
+    """A quadratic or cubic g in sphere coordinates t = p^e (x - c), moved
+    onto S_{p^e}(c) with c != 0: f(x) = c + p^-e g(p^e (x - c)).  B = 1,
+    so every such map has good reduction; the coefficients sit near the
+    isometry edges (a1 a unit or not, a2 and a3 divisible by p or not)."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    e = draw(st.integers(min_value=-2, max_value=2))
+    c = draw(st.fractions(min_value=-4, max_value=4, max_denominator=p ** 2)
+             .filter(lambda q: q != 0))
+
+    def coeff(lo):
+        return draw(st.integers(min_value=-2 * p, max_value=2 * p)) * p ** draw(
+            st.integers(min_value=lo, max_value=lo + 2))
+
+    g = [coeff(0), draw(st.integers(min_value=1, max_value=p ** 2)), coeff(0), coeff(0)]
+    g = g[:draw(st.sampled_from([3, 4]))]
+    scale = Fraction(p) ** e
+    num = [sum(a * scale ** i * math.comb(i, j) * (-c) ** (i - j)
+               for i, a in enumerate(g) if i >= j) / scale for j in range(len(g))]
+    num[0] += c
+    return Sphere(p, e, c), make_map(num)
+
+
+verdict_cases = st.one_of(sphere_maps(), polynomial_maps())
+
+
+@given(verdict_cases, st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=3))
+def test_certified_verdict_matches_the_sampled_stages(case, level, seed):
+    s, f = case
+    assert _verdict_outcome(ergodicity_verdict, s, f, max_level=level, trials=40, seed=seed) \
+        == _verdict_outcome(_sampled_verdict, s, f, level, trials=40, seed=seed)
+
+
+@example((unit_sphere(3), parse_map("x^3")))
+@example((unit_sphere(3), parse_map("x^2")))
+@example((unit_sphere(5), parse_map("x^2+x")))
+@given(verdict_cases)
+def test_certificate_agrees_with_sampling(case):
+    # a map the certificate refutes that sampling passes would be a false
+    # pass of the sampled stages; none is known
+    s, f = case
+    cert = certify_isometry(s, f)
+    if cert is not None:
+        assert verify_isometry(s, f).passed == cert
+
+
+def _count_calls(monkeypatch):
+    calls = {"eval_map": 0, "draw": 0}
+    for name in calls:
+        original = getattr(dynamics, name)
+
+        def counting(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(dynamics, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("s, f, want", [
+    (unit_sphere(2), parse_map("x+2"), ("ErgodicUpToLevel", None)),
+    (unit_sphere(2), parse_map("3x"), ("NotErgodic", "CycleSplit")),
+    (Sphere(2, 2, 2), make_map([-96, 49], [-47, 24]), ("ErgodicUpToLevel", None)),
+    (Sphere(3, -1, Fraction(1, 3)), parse_map("4x-1"), ("NotErgodic", "MeasureCriterion")),
+    (unit_sphere(3), make_map([0, 3], [3, 9]), ("NotErgodic", "MeasureCriterion")),
+])
+def test_certified_verdict_samples_nothing(monkeypatch, s, f, want):
+    calls = _count_calls(monkeypatch)
+    v = ergodicity_verdict(s, f, max_level=6)
+    assert (v.verdict, v.reason) == want
+    assert calls == {"eval_map": 0, "draw": 0}
+
+
+def test_certificate_reads_reduced_coordinates():
+    # 3x/(3 + 9x) = x/(1 + 3x): A and B share the factor 3, and only the
+    # reduced B = 1 + 3t is a unit at every unit residue
+    s, f = unit_sphere(3), make_map([0, 3], [3, 9])
+    assert dynamics._sphere_coordinates(s, f) == ([3, 0], [9, 3])
+    assert certify_isometry(s, f) is True
+    assert dynamics._certified_rho(s, f) == -1
+    # x^3 over Q_3 is a bijection mod 3 with derivative 3x^2 = 0 mod 3
+    assert certify_isometry(unit_sphere(3), parse_map("x^3")) is False
+    assert not verify_isometry(unit_sphere(3), parse_map("x^3")).passed
+    # 1/x: B = t is a unit on the units; x^2 over Q_3 is not injective mod 3;
+    # x^2 + x over Q_5 sends the residue 4 to 0
+    assert certify_isometry(unit_sphere(3), parse_map("1/x")) is True
+    assert certify_isometry(unit_sphere(3), parse_map("x^2")) is False
+    assert certify_isometry(unit_sphere(5), parse_map("x^2+x")) is False
+
+
+_FALLBACKS = [
+    # B = 1 + t vanishes mod 2 at t = 1: no good reduction (3x with a
+    # removable pole at -1, which no finite digit sum reaches)
+    (unit_sphere(2), make_map([0, 3, 3], [1, 1]), None, None,
+     {"verdict": "NotErgodic", "reason": "CycleSplit", "rho": "2^-1",
+      "criterion_value": "1", "level": 3, "cycles": [2, 2]}),
+    # an isometry with the unit fixed points 1 and -1
+    (unit_sphere(3), parse_map("1/x"), True, None,
+     {"verdict": "AssumptionViolated", "reason": "ZeroSomewhere",
+      "witness": {"x": "3:0:" + ",".join(["1"] + ["0"] * 31)}}),
+    # (p+1)x + p: |f(x) - x| = |p(x + 1)| is 3^-1 off x = 2 mod 3 and
+    # smaller on it, down to the fixed point -1, where the descent stops
+    (unit_sphere(3), parse_map("4x+3"), True, None,
+     {"verdict": "AssumptionViolated", "reason": "NonConstant", "witness": {
+         "x": "3:0:" + ",".join(["1"] + ["0"] * 31),
+         "y": "3:0:" + ",".join(["2"] + ["0"] * 31),
+         "note": "displacements p^-1 and p^-2"}}),
+    (unit_sphere(2), parse_map("3x+2"), True, None, None),
+    # h = 3(t^2 + t + 1) has no root in Z_3; its classes settle at 3^-2 on
+    # x = 1 mod 3 and at 3^-1 on x = 2 mod 3
+    (unit_sphere(3), parse_map("3x^2+4x+3"), True, None,
+     {"verdict": "AssumptionViolated", "reason": "NonConstant", "witness": {
+         "x": "3:0:" + ",".join(["1"] + ["0"] * 31),
+         "y": "3:0:" + ",".join(["2"] + ["0"] * 31),
+         "note": "displacements p^-2 and p^-1"}}),
+    # the fixed points +-sqrt(17) are units of Z_2: the descent reaches its cap
+    (unit_sphere(2), parse_map("x^2+x-17"), True, None, None),
+    (unit_sphere(3), parse_map("x^2"), False, None,
+     {"verdict": "NotIsometry", "reason": "IsometryFailed", "witness": {
+         "x": "3:0:" + ",".join(["1"] + ["0"] * 31),
+         "y": "3:0:2,1,0,1,2,1,1,1,1,1,2,0,2,0,1,0,0,2,1,2,2,2,0,1,0,2,0,2,1,1,2,0",
+         "note": "distance p^0 mapped to p^-1"}}),
+]
+
+
+@pytest.mark.parametrize("s, f, cert, rho, frozen", _FALLBACKS)
+def test_undecided_maps_keep_the_sampled_verdict(s, f, cert, rho, frozen):
+    assert certify_isometry(s, f) is cert
+    if cert:
+        assert dynamics._certified_rho(s, f) is rho
+    got = _verdict_outcome(ergodicity_verdict, s, f, max_level=5)
+    assert got == _verdict_outcome(_sampled_verdict, s, f, 5)
+    if frozen is not None:
+        assert got[0] == frozen
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_displacement_descent_settles_each_class_at_its_valuation(p):
+    # h = p t + p^2 (t - 1)^2 has valuation 1 at every unit, beyond the
+    # content p of its coefficients; p (t + 1) has the unit root -1
+    assert dynamics._unit_valuation([p ** 2, p - 2 * p ** 2, p ** 2], p) == 1
+    assert dynamics._unit_valuation([p, p], p) is None
+    assert dynamics._unit_valuation([p ** 3], p) == 3
+
+
+def test_displacement_descent_refuses_classes_of_different_valuation():
+    # t^2 + t + 1 has no root in Z_3; both classes settle at depth 1, at
+    # valuation 1 on t = 1 mod 3 and 0 on t = 2 mod 3
+    assert dynamics._unit_valuation([1, 1, 1], 3) is None
+    assert dynamics._unit_valuation([3, 3, 3], 3) is None

@@ -363,3 +363,26 @@ def test_group_skeleton_matches_the_reference(p, data):
         assert outcome(iso, h, g, x) == outcome(ref_iso, ref_h, ref, x)
         for y in xs:
             assert outcome(g.combine, x, y) == outcome(ref.combine, x, y)
+
+
+def _randrange_draw(g, rng, depth):
+    """draw as it was written with one rng.randrange call per digit."""
+    p = g.p
+    tv = rng.randrange(1 if g.kind == "sphere" else 0, p)
+    scale = 1
+    for _ in range(depth - 1):
+        scale *= p
+        tv += rng.randrange(p) * scale
+    return g.a + Fraction(p) ** (-g.e) * tv
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_draw_keeps_the_randrange_stream(p):
+    # draw inlines the getrandbits rejection loop of Random.randrange; the
+    # samples and the generator state after them must stay those of randrange
+    for cls in (BallGroup, SphereGroup):
+        g = cls(p, 1, Fraction(1, 3))
+        fast, slow = Random(p), Random(p)
+        for depth in range(1, 41):
+            assert draw(g, fast, depth) == _randrange_draw(g, slow, depth), (cls, depth)
+        assert fast.random() == slow.random()
