@@ -3,8 +3,12 @@
 
 Prints, for each level k, the induced permutation's cycle lengths and
 the cells of the first split if one occurs, plus the orbit of a chosen
-start point. A visual companion to the ergodicity verdict: a map is
-ergodic up to level K exactly when every row shows a single cycle.
+start point on the sphere. A visual companion to the ergodicity
+verdict: a map is ergodic up to level K exactly when every row shows a
+single cycle. A level whose cell map cannot be built (its image leaves
+the sphere, two cells collide, or it needs more cells than the cap)
+gets the error as its row and ends the table; the verdict prints its
+error the same way.
 """
 
 import argparse
@@ -13,6 +17,7 @@ from fractions import Fraction
 from padicdyn import (
     Sphere,
     cell_center,
+    contains,
     cycle_structure,
     embed,
     ergodicity_verdict,
@@ -20,6 +25,11 @@ from padicdyn import (
     orbit,
     parse_map,
 )
+from padicdyn.errors import PadicError
+
+
+def failure(err: PadicError) -> str:
+    return "%s: %s" % (type(err).__name__, err)
 
 
 def main() -> None:
@@ -35,10 +45,16 @@ def main() -> None:
 
     s = Sphere(args.p, args.sphere_exp, args.sphere_center)
     f = parse_map(args.map)
+    if args.start is not None and not contains(s, args.start):
+        ap.error("start %s is not on %s" % (args.start, s))
     print("map %s on %s" % (f, s))
 
     for k in range(1, args.levels + 1):
-        perm = induced_cell_map(s, f, k)
+        try:
+            perm = induced_cell_map(s, f, k)
+        except PadicError as err:
+            print("level %2d: %s" % (k, failure(err)))
+            break
         cs = cycle_structure(perm, k)
         line = "level %2d: %4d cells, cycle lengths %s" % (k, len(perm), list(cs.lengths))
         if len(cs.cycles) > 1:
@@ -47,8 +63,10 @@ def main() -> None:
             line += "  first invariant union: centers %s" % centers
         print(line)
 
-    v = ergodicity_verdict(s, f, max_level=args.levels)
-    print("verdict: %s" % v.as_dict())
+    try:
+        print("verdict: %s" % ergodicity_verdict(s, f, max_level=args.levels).as_dict())
+    except PadicError as err:
+        print("verdict: %s" % failure(err))
 
     if args.start is not None:
         rec = orbit(f, embed(args.start, s.p, -s.e + 24), args.iters)

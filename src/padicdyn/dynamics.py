@@ -287,26 +287,33 @@ def orbit(f: RationalMap, x0: PAdic, n: int) -> OrbitRecord:
     return OrbitRecord(x0, tuple(points), tuple(exps), period, offset)
 
 
-def _shift_poly(coeffs: tuple, c: Fraction, h: Fraction) -> list:
-    """Ascending coefficients in t of P(c + h t), for P given ascending."""
+def _shift_poly(coeffs: list, c: int, h: int) -> list:
+    """Ascending coefficients in t of P(c + h t), all integers, P given ascending."""
     return [h ** j * sum(a * math.comb(i, j) * c ** (i - j) for i, a in enumerate(coeffs[j:], j))
             for j in range(len(coeffs))]
 
 
 def _sphere_coordinates(s: Sphere, f: RationalMap) -> tuple:
-    """Integer polynomials A, B with A(t)/B(t) = p^e (f(c + p^-e t) - c).
+    """Integer polynomials A, B with A(t)/B(t) = p^e (f(c + p^-e t) - c),
+    their common content divided out, highest degree first for Horner.
 
-    Both are returned highest degree first, ready for Horner.  A cell
-    center is c + p^-e t for its digit sum t, and its image lies on the
-    sphere exactly when A(t)/B(t) is a p-adic unit.
+    With c = u/w and p^-e = P/Q, x = (uQ + wP t)/(wQ); f = N/D scaled by
+    the lcm of its coefficient denominators and by (wQ)^deg reads N^/D^
+    with integer N^, D^ in t, so A = Q (w N^ - u D^) and B = P w D^.  A
+    cell center is c + p^-e t for its digit sum t, and its image lies on
+    the sphere exactly when A(t)/B(t) is a p-adic unit.
     """
-    scale = Fraction(s.p) ** s.e
-    num = _shift_poly(f.num, s.center, 1 / scale)
-    den = _shift_poly(f.den, s.center, 1 / scale)
-    top = [scale * (n - s.center * d) for n, d in zip_longest(num, den, fillvalue=0)]
-    lcm = math.lcm(*(q.denominator for q in top + den))
-    return ([q.numerator * (lcm // q.denominator) for q in reversed(top)],
-            [q.numerator * (lcm // q.denominator) for q in reversed(den)])
+    u, w = s.center.numerator, s.center.denominator
+    P, Q = (s.p ** -s.e, 1) if s.e <= 0 else (1, s.p ** s.e)
+    deg = max(len(f.num), len(f.den)) - 1
+    lcm = math.lcm(*(a.denominator for a in f.num + f.den))
+    num, den = (_shift_poly([a.numerator * (lcm // a.denominator) * (w * Q) ** (deg - i)
+                             for i, a in enumerate(coeffs)], u * Q, w * P)
+                for coeffs in (f.num, f.den))
+    top = [Q * (w * n - u * d) for n, d in zip_longest(num, den, fillvalue=0)]
+    bottom = [P * w * d for d in den]
+    content = math.gcd(*top, *bottom)
+    return [q // content for q in reversed(top)], [q // content for q in reversed(bottom)]
 
 
 # Deepest residue class t0 + p^j Z_p the displacement certificate reads
@@ -326,36 +333,20 @@ def _derivative(coeffs: list) -> list:
     return [q * i for i, q in zip(range(len(coeffs) - 1, 0, -1), coeffs)]
 
 
-def _good_reduction(s: Sphere, f: RationalMap) -> tuple | None:
-    """A, B of _sphere_coordinates with their common p-content divided out,
-    when B(t) is a unit at every unit residue t mod p; None otherwise.
-
-    Under good reduction f has no pole on s and A(t)/B(t) is p-integral
-    at every unit t.
-    """
-    p = s.p
-    top, bottom = _sphere_coordinates(s, f)
-    while all(q % p == 0 for q in top + bottom):
-        top, bottom = [q // p for q in top], [q // p for q in bottom]
-    if any(_horner(bottom, t) % p == 0 for t in range(1, p)):
-        return None
-    return top, bottom
-
-
 def certify_isometry(s: Sphere, f: RationalMap) -> bool | None:
     """Exact decision whether f is an isometry of s, for maps with good reduction.
 
-    In sphere coordinates g(t) = A(t)/B(t), with B a unit on the units, g
+    Good reduction: B of _sphere_coordinates is a unit at every unit
+    residue t mod p, so f has no pole on s.  Then g(t) = A(t)/B(t)
     is an isometry of the units exactly when at every unit residue t mod
     p: A(t) is a unit, t -> A(t)/B(t) is a bijection, and A'B - AB' is a
     unit.  That is Hensel's lemma: g(x) - g(y) = (x - y) Q with
     Q = g'(y) mod (x - y).  Returns None without good reduction, where
     the sampled verify_isometry is the check.
     """
-    coords = _good_reduction(s, f)
-    if coords is None:
+    p, (top, bottom) = s.p, _sphere_coordinates(s, f)
+    if any(_horner(bottom, t) % p == 0 for t in range(1, p)):
         return None
-    p, (top, bottom) = s.p, coords
     d_top, d_bottom = _derivative(top), _derivative(bottom)
     images = set()
     for t in range(1, p):
@@ -399,7 +390,7 @@ def _certified_rho(s: Sphere, f: RationalMap) -> int | None:
 
     |f(x) - x| = p^e |h(t)| with h = A - tB, since B(t) is a unit.
     """
-    top, bottom = _good_reduction(s, f)
+    top, bottom = _sphere_coordinates(s, f)
     h = [a - b for a, b in zip_longest(top[::-1], [0, *bottom[::-1]], fillvalue=0)]
     v = _unit_valuation(h, s.p)
     return None if v is None else s.e - v

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -36,9 +37,11 @@ from padicdyn.geometry import (
     embed,
     index_digits,
     locate_cell,
+    unit_residue,
 )
 from padicdyn.mapdsl import eval_map, make_map, parse_map
 from padicdyn.measure import haar_clopen, haar_sphere
+from padicdyn.padic import rational_valuation
 
 
 def unit_sphere(p):
@@ -644,7 +647,7 @@ def test_certificate_reads_reduced_coordinates():
     # 3x/(3 + 9x) = x/(1 + 3x): A and B share the factor 3, and only the
     # reduced B = 1 + 3t is a unit at every unit residue
     s, f = unit_sphere(3), make_map([0, 3], [3, 9])
-    assert dynamics._sphere_coordinates(s, f) == ([3, 0], [9, 3])
+    assert dynamics._sphere_coordinates(s, f) == ([1, 0], [3, 1])
     assert certify_isometry(s, f) is True
     assert dynamics._certified_rho(s, f) == -1
     # x^3 over Q_3 is a bijection mod 3 with derivative 3x^2 = 0 mod 3
@@ -655,6 +658,110 @@ def test_certificate_reads_reduced_coordinates():
     assert certify_isometry(unit_sphere(3), parse_map("1/x")) is True
     assert certify_isometry(unit_sphere(3), parse_map("x^2")) is False
     assert certify_isometry(unit_sphere(5), parse_map("x^2+x")) is False
+
+
+def _ref_shift_poly(coeffs, c, h):
+    return [h ** j * sum(a * math.comb(i, j) * c ** (i - j) for i, a in enumerate(coeffs[j:], j))
+            for j in range(len(coeffs))]
+
+
+def _ref_sphere_coordinates(s, f):
+    """Reference A, B from Fraction Taylor shifts, cleared of denominators
+    but not of their common content."""
+    scale = Fraction(s.p) ** s.e
+    num = _ref_shift_poly(f.num, s.center, 1 / scale)
+    den = _ref_shift_poly(f.den, s.center, 1 / scale)
+    top = [scale * (n - s.center * d) for n, d in zip_longest(num, den, fillvalue=0)]
+    lcm = math.lcm(*(q.denominator for q in top + den))
+    return ([q.numerator * (lcm // q.denominator) for q in reversed(top)],
+            [q.numerator * (lcm // q.denominator) for q in reversed(den)])
+
+
+def _ref_reduced_coordinates(s, f):
+    p = s.p
+    top, bottom = _ref_sphere_coordinates(s, f)
+    while all(q % p == 0 for q in top + bottom):
+        top, bottom = [q // p for q in top], [q // p for q in bottom]
+    return top, bottom
+
+
+def _ref_good_reduction(s, f):
+    """The reference pair with its common p-content divided out, when B(t)
+    is a unit at every unit residue t mod p; None otherwise."""
+    top, bottom = _ref_reduced_coordinates(s, f)
+    if any(dynamics._horner(bottom, t) % s.p == 0 for t in range(1, s.p)):
+        return None
+    return top, bottom
+
+
+def _ref_certify_isometry(s, f):
+    coords = _ref_good_reduction(s, f)
+    if coords is None:
+        return None
+    p, (top, bottom) = s.p, coords
+    horner = dynamics._horner
+    d_top, d_bottom = dynamics._derivative(top), dynamics._derivative(bottom)
+    images = set()
+    for t in range(1, p):
+        a, b = horner(top, t), horner(bottom, t)
+        if a % p == 0 or (horner(d_top, t) * b - a * horner(d_bottom, t)) % p == 0:
+            return False
+        images.add(unit_residue(a, b, p))
+    return len(images) == p - 1
+
+
+def _ref_certified_rho(s, coords):
+    top, bottom = coords
+    h = [a - b for a, b in zip_longest(top[::-1], [0, *bottom[::-1]], fillvalue=0)]
+    v = dynamics._unit_valuation(h, s.p)
+    return None if v is None else s.e - v
+
+
+@st.composite
+def coordinate_cases(draw):
+    """A sphere with e in [-3, 3] and a center of denominator 1, 3, p, p^2
+    or 7p^3, and a map N/D with deg N <= 4, deg D <= 2 whose coefficients
+    have denominators p^k."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    e = draw(st.integers(min_value=-3, max_value=3))
+    c = Fraction(draw(st.integers(min_value=-40, max_value=40)),
+                 draw(st.sampled_from([1, 3, p, p ** 2, 7 * p ** 3])))
+    coeff = st.builds(lambda n, k: Fraction(n, p ** k),
+                      st.integers(min_value=-2 * p ** 2, max_value=2 * p ** 2),
+                      st.integers(min_value=0, max_value=2))
+    num = draw(st.lists(coeff, min_size=1, max_size=5))
+    den = draw(st.lists(coeff, min_size=1, max_size=3).filter(any))
+    return Sphere(p, e, c), make_map(num, den)
+
+
+@example((unit_sphere(3), make_map([0, 3], [3, 9])))
+@example((Sphere(2, 1, Fraction(1, 3)), parse_map("3x")))
+@example((Sphere(2, 2, 2), make_map([-96, 49], [-47, 24])))
+@given(coordinate_cases())
+def test_integer_coordinates_match_the_fraction_reference(case):
+    s, f = case
+    top, bottom = dynamics._sphere_coordinates(s, f)
+    ref_top, ref_bottom = _ref_reduced_coordinates(s, f)
+    assert all(type(q) is int for q in top + bottom)
+    # the same pair up to a p-unit scalar, so A B_ref = A_ref B
+    scale = next(Fraction(b, r) for b, r in zip(bottom, ref_bottom) if r)
+    assert rational_valuation(scale, s.p) == 0
+    assert ([scale * q for q in ref_top], [scale * q for q in ref_bottom]) == (top, bottom)
+    assert certify_isometry(s, f) is _ref_certify_isometry(s, f)
+    coords = _ref_good_reduction(s, f)
+    if coords is not None:
+        assert dynamics._certified_rho(s, f) == _ref_certified_rho(s, coords)
+
+
+def test_integer_coordinates_on_an_offset_sphere():
+    # 3x on S_2(1/3) over Q_2: x = 1/3 + t/2, so 2 (f(x) - 1/3) = 4/3 + 3t;
+    # the construction gives A = 24 + 54t, B = 18, whose content 6 goes
+    s, f = Sphere(2, 1, Fraction(1, 3)), parse_map("3x")
+    assert dynamics._sphere_coordinates(s, f) == ([9, 4], [3])
+    # A(1) = 13 and A' B = 27 are odd; h = A - tB = 2 (3t + 2), so
+    # |f(x) - x| = 2 |2 (3t + 2)| = 1
+    assert certify_isometry(s, f) is True
+    assert dynamics._certified_rho(s, f) == 0
 
 
 _FALLBACKS = [
