@@ -2,8 +2,9 @@
 """Trace the cell permutation of one map level by level.
 
 Prints, for each level k, the induced permutation's cycle lengths and
-the cells of the first split if one occurs, plus the orbit of a chosen
-start point on the sphere. A visual companion to the ergodicity
+the centers of the first split if one occurs (a longer union shows its
+first 8 centers and its cell count), plus the orbit of a chosen start
+point on the sphere. A visual companion to the ergodicity
 verdict: a map is ergodic up to level K exactly when every row shows a
 single cycle. A level whose cell map cannot be built (its image leaves
 the sphere, two cells collide, or it needs more cells than the cap)
@@ -26,6 +27,9 @@ from padicdyn import (
     parse_map,
 )
 from padicdyn.errors import PadicError
+
+# centers listed per invariant union; a longer union also shows its cell count
+SHOWN_CENTERS = 8
 
 
 def failure(err: PadicError) -> str:
@@ -59,7 +63,9 @@ def main() -> None:
         line = "level %2d: %4d cells, cycle lengths %s" % (k, len(perm), list(cs.lengths))
         if len(cs.cycles) > 1:
             first = min(cs.cycles, key=len)
-            centers = ", ".join(str(cell_center(s, k, j)) for j in first)
+            centers = ", ".join(str(cell_center(s, k, j)) for j in first[:SHOWN_CENTERS])
+            if len(first) > SHOWN_CENTERS:
+                centers += ", ... (%d cells)" % len(first)
             line += "  first invariant union: centers %s" % centers
         print(line)
 

@@ -9,6 +9,7 @@ fractional quantities rendered as strings.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -272,7 +273,14 @@ def cmd_selftest(ns) -> int:
     return 0 if passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process at the first run.
+
+    The tree binds each subcommand to its cmd_* function at that build,
+    so a later rebinding of a cmd_* name is not seen.  Its defaults read
+    no environment, and parsing does not mutate it.
+    """
     top = argparse.ArgumentParser(
         prog="padicdyn",
         description="Exact arithmetic for ball and sphere groups over the "
@@ -337,7 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     dyn.add_argument("--levels", type=int, default=8)
     dyn.add_argument("--trials", type=int, default=200,
                      help="sampled point pairs of verify and rho; ergodic samples "
-                          "them only when its exact certificate does not decide")
+                          "only where its exact certificate does not decide, and "
+                          "on a certified isometry stops at the displacement witness")
     common(dyn, seed=True)
     dyn.set_defaults(fn=cmd_dyn)
 

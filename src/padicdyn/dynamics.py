@@ -220,11 +220,16 @@ def _displacements(s: Sphere, images, depth: int) -> RhoResult:
     return RhoResult("Constant", const_exp, None, tuple(profile))
 
 
+def _x_images(s: Sphere, f: RationalMap, trials: int, seed: int, depth: int):
+    """Lazy exact (x, f(x)) over _survey's x stream; the unused y draws
+    still advance its Random, so the x sequence is verify_isometry's."""
+    return ((x, eval_map(f, x)) for x, _ in _survey(s, trials, seed, depth))
+
+
 def compute_rho(s: Sphere, f: RationalMap, trials: int = 200, seed: int = 0,
                 depth: int = DEFAULT_PRECISION) -> RhoResult:
     """Displacement exponent survey: exact |f(x) - x| over verify_isometry's x stream."""
-    rho = _displacements(s, ((x, eval_map(f, x))
-                             for x, _ in _survey(s, trials, seed, depth)), depth)
+    rho = _displacements(s, _x_images(s, f, trials, seed, depth), depth)
     return replace(rho, profile=tuple((_witness(s, depth, x), exp) for x, exp in rho.profile))
 
 
@@ -526,10 +531,13 @@ def ergodicity_verdict(s: Sphere, f: RationalMap, max_level: int = 8,
     criterion, then the cycle structure of the induced permutation at
     each level.  Stages 1-2 are certified exactly when f has good
     reduction on s (certify_isometry) and the descent fixes the
-    displacement; otherwise, and for every refutation, fixed point or
-    non-constant displacement, the sampled verify_isometry and its
-    displacement survey decide, and give the witness.  trials and seed
-    steer only that sampling.  Every stage works on exact rationals.
+    displacement.  A certified isometry whose displacement the descent
+    leaves open evaluates f on the sampled x stream only up to the
+    displacement witness (a fixed point or a second displacement).  A
+    map without good reduction, or a refuted isometry, runs the sampled
+    verify_isometry, and the displacement survey reads its values.  Every
+    witness comes from that sampling, which trials and seed steer.  Every
+    stage works on exact rationals.
     """
     if max_level < 1:
         raise InputError("max_level must be at least 1")
@@ -538,13 +546,18 @@ def ergodicity_verdict(s: Sphere, f: RationalMap, max_level: int = 8,
         raise ResourceLimit(
             "level %d needs %d cells, cap is %d" % (max_level, top, DEFAULT_CELL_CAP))
     _check_trials(trials)
-    rho_exp = _certified_rho(s, f) if certify_isometry(s, f) else None
+    certified = certify_isometry(s, f)
+    rho_exp = _certified_rho(s, f) if certified else None
     if rho_exp is None:
-        iso = verify_isometry(s, f, trials=trials, seed=seed)
-        if not iso.passed:
-            return ErgodicityVerdict("NotIsometry", s.p, reason="IsometryFailed",
-                                     witness=iso.witness)
-        rho = _displacements(s, iso.images, DEFAULT_PRECISION)
+        if certified:  # no pole on s: verify_isometry would pass every trial
+            images = _x_images(s, f, trials, seed, DEFAULT_PRECISION)
+        else:
+            iso = verify_isometry(s, f, trials=trials, seed=seed)
+            if not iso.passed:
+                return ErgodicityVerdict("NotIsometry", s.p, reason="IsometryFailed",
+                                         witness=iso.witness)
+            images = iso.images
+        rho = _displacements(s, images, DEFAULT_PRECISION)
         if rho.kind != "Constant":
             return ErgodicityVerdict("AssumptionViolated", s.p, reason=rho.kind,
                                      witness=rho.witness)

@@ -110,6 +110,27 @@ def test_json_determinism(capsys):
     assert json.loads(outs.pop())["cycles"] == [2, 2]
 
 
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_cached_parser_survives_errors_and_help(capsys):
+    # the parser is shared by every run in a process: an argparse error and
+    # --help in between must not change the bytes of the same request
+    argv = ["dyn", "ergodic", "--p", "3", "--sphere-center", "0", "--sphere-exp", "0",
+            "--map", "4x+3", "--seed", "5"]
+    first = run(capsys, *argv)
+    assert first[0] == 0
+    assert first[1].startswith("verdict: AssumptionViolated\nreason: NonConstant\n")
+    code, out, err = run(capsys, "dyn", "ergodic", "--p", "three", *argv[3:])
+    assert (code, out) == (2, "")
+    assert "invalid int value: 'three'" in err
+    code, out, _ = run(capsys, "dyn", "--help")
+    assert code == 0
+    assert out.startswith("usage: padicdyn dyn")
+    assert run(capsys, *argv) == first
+
+
 def test_exit_code_matrix(capsys):
     # 0: an answer, even a negative one
     code, out, _ = run(capsys, "dyn", "ergodic", "--p", "3", "--sphere-center", "0",

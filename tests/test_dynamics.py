@@ -810,6 +810,35 @@ def test_undecided_maps_keep_the_sampled_verdict(s, f, cert, rho, frozen):
         assert got[0] == frozen
 
 
+@pytest.mark.parametrize("s, f", [
+    (unit_sphere(3), parse_map("4x+3")),
+    (unit_sphere(3), parse_map("1/x")),
+    # (p+1)x + p off the unit sphere: -1 lies on S_{3^-1}(2) and on S_5(1/5)
+    (Sphere(3, -1, 2), parse_map("4x+3")),
+    (Sphere(5, 1, Fraction(1, 5)), parse_map("6x+5")),
+])
+def test_certified_isometry_reads_the_witness_lazily(monkeypatch, s, f):
+    # the certificate proves the isometry and leaves the displacement open:
+    # the verdict skips verify_isometry and evaluates f on the x stream of
+    # the survey only up to the displacement witness
+    assert certify_isometry(s, f) is True
+    assert dynamics._certified_rho(s, f) is None
+    want = _verdict_outcome(_sampled_verdict, s, f, 5)
+    xs = [dynamics._witness(s, 32, x) for x, _ in dynamics._survey(s, 200, 0, 32)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_isometry runs on a certified isometry")
+
+    monkeypatch.setattr(dynamics, "verify_isometry", refuse)
+    calls = _count_calls(monkeypatch)
+    got = _verdict_outcome(ergodicity_verdict, s, f, max_level=5)
+    assert got == want
+    verdict = got[0]
+    assert verdict["verdict"] == "AssumptionViolated"
+    last = verdict["witness"]["y" if verdict["reason"] == "NonConstant" else "x"]
+    assert calls["eval_map"] == xs.index(last) + 1
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_displacement_descent_settles_each_class_at_its_valuation(p):
     # h = p t + p^2 (t - 1)^2 has valuation 1 at every unit, beyond the

@@ -70,3 +70,16 @@ def test_cycle_tree_refuses_a_start_off_the_sphere():
         "  f^1 = 2:0:" + ",".join(["1", "1"] + ["0"] * 22),
         "  f^2 = 2:0:" + ",".join(["1", "0", "1"] + ["0"] * 21),
     ]
+
+
+def test_cycle_tree_shortens_a_long_invariant_union():
+    # x + 7 over Q_7 splits every level into 6 cycles of 7^(k-1) cells;
+    # a union of at most 8 cells is listed in full
+    proc = run_script("cycle_tree.py", "--p", "7", "--map", "x+7", "--levels", "6")
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.encode()) < 4096
+    lines = proc.stdout.splitlines()
+    assert lines[2] == ("level  2:   42 cells, cycle lengths [7, 7, 7, 7, 7, 7]  "
+                        "first invariant union: centers 1, 8, 15, 22, 29, 36, 43")
+    assert lines[6] == ("level  6: 100842 cells, cycle lengths %s  first invariant union: "
+                        "centers 1, 8, 15, 22, 29, 36, 43, 50, ... (16807 cells)" % ([16807] * 6))
